@@ -1,13 +1,17 @@
 #include "obs/blackbox.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <csignal>
 #include <cstdlib>
 #include <exception>
 #include <filesystem>
 #include <fstream>
+#include <mutex>
 #include <stdexcept>
+#include <thread>
 #include <utility>
+#include <vector>
 
 namespace baat::obs {
 
@@ -50,18 +54,27 @@ std::string write_blackbox_bundle(const std::string& parent_dir, long day,
 
 namespace {
 
-std::function<void(const char*)>& dump_hook() {
-  static std::function<void(const char*)> g_hook;
-  return g_hook;
-}
+struct HookEntry {
+  std::thread::id owner;
+  const std::function<void(const char*)>* hook;
+};
 
+std::mutex g_hooks_mu;
+std::vector<HookEntry> g_hooks;  // registration order
 std::atomic<bool> g_dumping{false};
 
 void run_dump_hook(const char* reason) noexcept {
   // One dump per process: a crash inside the dump must not recurse.
   if (g_dumping.exchange(true)) return;
   try {
-    if (dump_hook()) dump_hook()(reason);
+    // The lock may be held by the thread that crashed; give up rather than
+    // deadlock a dying process.
+    std::unique_lock<std::mutex> lock(g_hooks_mu, std::try_to_lock);
+    if (!lock.owns_lock() || g_hooks.empty()) return;
+    const std::thread::id self = std::this_thread::get_id();
+    auto it = std::find_if(g_hooks.rbegin(), g_hooks.rend(),
+                           [self](const HookEntry& e) { return e.owner == self; });
+    (*(it != g_hooks.rend() ? it->hook : g_hooks.back().hook))(reason);
   } catch (...) {
     // The process is dying; swallow so the original crash surfaces.
   }
@@ -85,12 +98,17 @@ void signal_with_dump(int sig) {
 
 }  // namespace
 
-void set_crash_dump_hook(std::function<void(const char* reason)> hook) {
-  dump_hook() = std::move(hook);
-  g_dumping.store(false);
+CrashDumpHook::CrashDumpHook(std::function<void(const char* reason)> hook)
+    : hook_(std::move(hook)) {
+  std::lock_guard<std::mutex> lock(g_hooks_mu);
+  g_hooks.push_back({std::this_thread::get_id(), &hook_});
 }
 
-void clear_crash_dump_hook() { dump_hook() = nullptr; }
+CrashDumpHook::~CrashDumpHook() {
+  std::lock_guard<std::mutex> lock(g_hooks_mu);
+  g_hooks.erase(std::find_if(g_hooks.begin(), g_hooks.end(),
+                             [this](const HookEntry& e) { return e.hook == &hook_; }));
+}
 
 void install_crash_handlers() {
   static bool installed = false;

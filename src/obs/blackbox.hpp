@@ -31,11 +31,22 @@ struct BlackboxFile {
 std::string write_blackbox_bundle(const std::string& parent_dir, long day,
                                   const std::vector<BlackboxFile>& files);
 
-/// Install the process-wide dump hook the crash handlers invoke. The hook
+/// Registers a crash dump hook for the lifetime of the object. The hook
 /// must be safe to call once from a dying process: write the bundle, touch
-/// nothing else. Pass nullptr (or call clear) to remove.
-void set_crash_dump_hook(std::function<void(const char* reason)> hook);
-void clear_crash_dump_hook();
+/// nothing else. Registration is thread-safe, so concurrent day loops (the
+/// points of a parallel sweep) each hold their own. On a crash the hook
+/// registered by the crashing thread runs; a crash on a thread that holds
+/// none (a shard worker) runs the most recently registered hook.
+class CrashDumpHook {
+ public:
+  explicit CrashDumpHook(std::function<void(const char* reason)> hook);
+  ~CrashDumpHook();
+  CrashDumpHook(const CrashDumpHook&) = delete;
+  CrashDumpHook& operator=(const CrashDumpHook&) = delete;
+
+ private:
+  std::function<void(const char* reason)> hook_;
+};
 
 /// Install fatal-signal (SIGSEGV/SIGBUS/SIGFPE/SIGABRT) and std::terminate
 /// handlers that run the dump hook, then hand the crash back to the default

@@ -62,6 +62,7 @@ TraceEvent& TraceBuffer::next_slot() {
 
 void TraceBuffer::merge(const TraceBuffer& other) {
   for (TraceEvent& e : other.events()) push(std::move(e));
+  dropped_ += other.dropped_;
 }
 
 void TraceBuffer::set_capacity(std::size_t capacity) {

@@ -70,8 +70,9 @@ class TraceBuffer {
   /// without touching the heap. The caller must overwrite every field.
   [[nodiscard]] TraceEvent& next_slot();
   /// Append every event of `other` (oldest first), honouring this ring's
-  /// capacity. The sweep engine folds per-job traces in with this, in
-  /// job-index order, so the merged trace is deterministic.
+  /// capacity, and carry over the events `other` already dropped — so
+  /// draining a shard ring each day reports the same retained window and
+  /// dropped count as emitting into this ring directly.
   void merge(const TraceBuffer& other);
   /// Re-size the ring; releases contents and the dropped counter.
   void set_capacity(std::size_t capacity);

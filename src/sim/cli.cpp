@@ -390,7 +390,7 @@ namespace {
 
 /// Fold a value into a fingerprint (Boost-style hash combine). Used for the
 /// CLI knobs that shape the trajectory but live outside ScenarioConfig /
-/// MultiDayOptions (old fleet, the sweep's fraction list).
+/// MultiDayOptions / DatacenterConfig (old fleet, the sweep's fraction list).
 std::uint64_t mix_hash(std::uint64_t h, std::uint64_t v) {
   h ^= v + 0x9E3779B97F4A7C15ULL + (h << 6) + (h >> 2);
   return h == 0 ? 1 : h;
@@ -406,15 +406,6 @@ std::string point_series_path(const std::string& path, std::size_t i) {
     return path + suffix;
   }
   return path.substr(0, dot) + suffix + path.substr(dot);
-}
-
-/// Scenario fingerprint for one CLI-described run, stamped into snapshot
-/// headers so a resume under different flags fails loudly.
-std::uint64_t cli_config_hash(const CliOptions& options, const ScenarioConfig& cfg,
-                              const MultiDayOptions& opts) {
-  std::uint64_t h = scenario_fingerprint(cfg, opts);
-  h = mix_hash(h, options.old_fleet ? 1 : 0);
-  return h;
 }
 
 /// Sweep mode: one multi-day simulation per sunshine fraction, run on the
@@ -434,7 +425,8 @@ void run_sunshine_sweep(const CliOptions& options, const ScenarioConfig& cfg) {
   base_opts.days = options.days;
   base_opts.probe_every_days = 0;
   base_opts.keep_days = false;
-  std::uint64_t sweep_hash = cli_config_hash(options, cfg, base_opts);
+  std::uint64_t sweep_hash =
+      mix_hash(scenario_fingerprint(cfg, base_opts), options.old_fleet ? 1 : 0);
   for (double f : fractions) {
     sweep_hash = mix_hash(sweep_hash, std::bit_cast<std::uint64_t>(f));
   }
@@ -548,14 +540,45 @@ void run_sunshine_sweep(const CliOptions& options, const ScenarioConfig& cfg) {
   }
 }
 
-/// Datacenter mode (--shards / --demand): the sharded analogue of the
-/// single-run path below. Output parity is deliberate — at --shards 1 with
-/// no --demand, every stdout/CSV/series byte matches the unsharded engine,
-/// which the CI smoke test pins.
-int run_datacenter_cli(const CliOptions& options, const ScenarioConfig& cfg) {
-  obs::Registry& registry = obs::global_registry();
-  obs::TraceBuffer& trace = obs::global_trace();
+/// --metrics-out / --trace-out exports of the caller's obs sinks.
+void write_obs_exports(const CliOptions& options) {
+  if (!options.metrics_path.empty()) {
+    std::ofstream out{options.metrics_path};
+    if (!out) throw std::runtime_error("cannot open " + options.metrics_path);
+    if (ends_with(options.metrics_path, ".csv")) {
+      obs::global_registry().write_csv(out);
+    } else {
+      obs::global_registry().write_json(out);
+    }
+    std::printf("metrics       : %s\n", options.metrics_path.c_str());
+  }
+  if (!options.trace_path.empty()) {
+    const obs::TraceBuffer& trace = obs::global_trace();
+    std::ofstream out{options.trace_path};
+    if (!out) throw std::runtime_error("cannot open " + options.trace_path);
+    if (ends_with(options.trace_path, ".jsonl")) {
+      trace.write_jsonl(out);
+    } else {
+      trace.write_chrome_trace(out);
+    }
+    std::printf("trace         : %s (%zu events, %zu dropped)\n",
+                options.trace_path.c_str(), trace.size(), trace.dropped());
+  }
+}
 
+/// Leave the process-global switches the way we found them (matters when
+/// run_cli is driven from tests rather than main()).
+int end_obs_session(int code) {
+  obs::set_trace_enabled(false);
+  obs::set_profiling_enabled(false);
+  util::set_sim_time(-1.0);
+  return code;
+}
+
+/// A single run: the datacenter engine, one shard unless --shards says
+/// otherwise. Topology and demand lines print only off that default, so a
+/// plain run and --shards 1 produce the same bytes.
+int run_single(const CliOptions& options, const ScenarioConfig& cfg) {
   DatacenterConfig dcfg;
   dcfg.scenario = cfg;
   dcfg.shards = options.shards == 0 ? 1 : options.shards;
@@ -587,12 +610,15 @@ int run_datacenter_cli(const CliOptions& options, const ScenarioConfig& cfg) {
   try {
     run = run_datacenter_multi_day(dc, opts);
   } catch (const obs::WatchdogError& e) {
+    // The watchdog's what() is the full abort report: score, incident list,
+    // day and node of every trip. The flight-recorder bundle (unless
+    // --no-blackbox) was already written by the day loop.
     std::fprintf(stderr, "%s\n", e.what());
-    obs::set_trace_enabled(false);
-    obs::set_profiling_enabled(false);
-    util::set_sim_time(-1.0);
-    return 3;
+    return end_obs_session(3);
   }
+  // The shards' metrics live in their private registries: fold them into
+  // the caller's registry once, before anything reads it.
+  dc.merge_metrics_into(obs::global_registry());
 
   if (!options.csv_path.empty()) {
     util::CsvWriter csv{options.csv_path,
@@ -622,197 +648,12 @@ int run_datacenter_cli(const CliOptions& options, const ScenarioConfig& cfg) {
     std::printf("chemistry     : %s\n",
                 std::string(battery::chemistry_name(cfg.bank.kind)).c_str());
   }
-  // Topology/demand lines only when they deviate from the classic engine, so
-  // --shards 1 output stays byte-identical to the unsharded run.
   if (dc.shard_count() > 1) {
     std::printf("shards        : %zu x %zu nodes (%zu total)\n", dc.shard_count(),
                 cfg.nodes, dc.node_count());
   }
   if (!dcfg.demand.empty()) {
     std::printf("demand        : %s\n", dcfg.demand.to_string().c_str());
-  }
-  std::printf("days          : %zu (sunshine %.2f, seed %llu%s)\n", options.days,
-              options.sunshine_fraction,
-              static_cast<unsigned long long>(options.seed),
-              options.old_fleet ? ", old fleet" : "");
-  std::printf("throughput    : %.2f M core-seconds\n", run.total_throughput / 1e6);
-  std::printf("fleet health  : mean %.4f, min %.4f\n", run.mean_health_end,
-              run.min_health_end);
-  const core::LifetimeEstimate life = core::extrapolate_lifetime(
-      1.0, run.min_health_end, static_cast<double>(options.days));
-  if (life.beyond_horizon) {
-    std::printf("worst battery : no end-of-life within the %.0f-day projection horizon\n",
-                life.days);
-  } else {
-    std::printf("worst battery : projected end-of-life in %.0f days\n", life.days);
-  }
-  for (const MonthlyProbe& p : run.monthly) {
-    std::printf("probe month %d : Vfull %.2f V, capacity %.1f%%, round-trip %.1f%%\n",
-                p.month, p.full_voltage, p.capacity_fraction * 100.0,
-                p.round_trip_efficiency * 100.0);
-  }
-  if (!options.report_path.empty()) {
-    // parse_cli only lets --report through at one shard.
-    ReportInputs report;
-    report.config = &cfg;
-    report.result = &run;
-    report.cluster = &dc.shard(0);
-    report.sunshine_fraction = options.sunshine_fraction;
-    report.registry = &registry;
-    report.trace = options.trace_path.empty() ? nullptr : &trace;
-    write_report(options.report_path, report);
-    std::printf("report        : %s\n", options.report_path.c_str());
-  }
-  if (!options.csv_path.empty()) {
-    std::printf("per-day CSV   : %s\n", options.csv_path.c_str());
-  }
-  if (!options.series_path.empty()) {
-    std::printf("series        : %s\n", options.series_path.c_str());
-  }
-
-  if (!options.metrics_path.empty()) {
-    // The shards' metrics live in their private registries; fold them into
-    // the caller's registry (shard order) for the export.
-    dc.merge_metrics_into(registry);
-    std::ofstream out{options.metrics_path};
-    if (!out) throw std::runtime_error("cannot open " + options.metrics_path);
-    if (ends_with(options.metrics_path, ".csv")) {
-      registry.write_csv(out);
-    } else {
-      registry.write_json(out);
-    }
-    std::printf("metrics       : %s\n", options.metrics_path.c_str());
-  }
-  if (!options.trace_path.empty()) {
-    std::ofstream out{options.trace_path};
-    if (!out) throw std::runtime_error("cannot open " + options.trace_path);
-    if (ends_with(options.trace_path, ".jsonl")) {
-      trace.write_jsonl(out);
-    } else {
-      trace.write_chrome_trace(out);
-    }
-    std::printf("trace         : %s (%zu events, %zu dropped)\n",
-                options.trace_path.c_str(), trace.size(), trace.dropped());
-  }
-
-  obs::set_trace_enabled(false);
-  obs::set_profiling_enabled(false);
-  util::set_sim_time(-1.0);
-  return 0;
-}
-
-}  // namespace
-
-int run_cli(const CliOptions& options) {
-  if (options.show_help) {
-    std::fputs(cli_usage().c_str(), stdout);
-    return 0;
-  }
-
-  if (options.log_level) util::set_log_level(*options.log_level);
-
-  // Observability session: fresh numbers per invocation. Profiling rides on
-  // --metrics-out (wall-clock histograms are only useful when exported);
-  // tracing rides on --trace-out.
-  obs::Registry& registry = obs::global_registry();
-  registry.reset();
-  obs::TraceBuffer& trace = obs::global_trace();
-  trace.set_capacity(options.trace_events);
-  obs::set_trace_enabled(!options.trace_path.empty());
-  obs::set_profiling_enabled(!options.metrics_path.empty());
-
-  const ScenarioConfig cfg = scenario_from_cli(options);
-
-  if (options.shards > 0 || !options.demand.empty()) {
-    return run_datacenter_cli(options, cfg);
-  }
-
-  if (!options.sweep_sunshine.empty()) {
-    run_sunshine_sweep(options, cfg);
-
-    if (!options.metrics_path.empty()) {
-      std::ofstream out{options.metrics_path};
-      if (!out) throw std::runtime_error("cannot open " + options.metrics_path);
-      if (ends_with(options.metrics_path, ".csv")) {
-        registry.write_csv(out);
-      } else {
-        registry.write_json(out);
-      }
-      std::printf("metrics       : %s\n", options.metrics_path.c_str());
-    }
-    if (!options.trace_path.empty()) {
-      std::ofstream out{options.trace_path};
-      if (!out) throw std::runtime_error("cannot open " + options.trace_path);
-      if (ends_with(options.trace_path, ".jsonl")) {
-        trace.write_jsonl(out);
-      } else {
-        trace.write_chrome_trace(out);
-      }
-      std::printf("trace         : %s (%zu events, %zu dropped)\n",
-                  options.trace_path.c_str(), trace.size(), trace.dropped());
-    }
-    obs::set_trace_enabled(false);
-    obs::set_profiling_enabled(false);
-    util::set_sim_time(-1.0);
-    return 0;
-  }
-
-  Cluster cluster{cfg};
-  if (options.old_fleet) seed_aged_fleet(cluster, six_month_aged_state());
-
-  MultiDayOptions opts;
-  opts.days = options.days;
-  opts.sunshine_fraction = options.sunshine_fraction;
-  opts.probe_every_days = 30;
-  opts.checkpoint.every_days = options.checkpoint_every;
-  opts.checkpoint.dir = options.checkpoint_dir;
-  opts.checkpoint.resume_path = options.resume_path;
-  opts.checkpoint.config_hash = cli_config_hash(options, cfg, opts);
-  opts.series.path = options.series_path;
-  opts.series.every = options.series_every;
-  opts.blackbox = options.blackbox;
-  opts.blackbox_dir = options.blackbox_dir;
-
-  MultiDayResult run;
-  try {
-    run = run_multi_day(cluster, opts);
-  } catch (const obs::WatchdogError& e) {
-    // The watchdog's what() is the full abort report: score, incident list,
-    // day and node of every trip. The flight-recorder bundle (unless
-    // --no-blackbox) was already written by run_multi_day.
-    std::fprintf(stderr, "%s\n", e.what());
-    obs::set_trace_enabled(false);
-    obs::set_profiling_enabled(false);
-    util::set_sim_time(-1.0);
-    return 3;
-  }
-
-  if (!options.csv_path.empty()) {
-    util::CsvWriter csv{options.csv_path,
-                        {"day", "weather", "work", "worst_ah", "worst_low_soc_h",
-                         "downtime_h", "migrations", "dvfs"}};
-    for (std::size_t d = 0; d < run.days.size(); ++d) {
-      const DayResult& r = run.days[d];
-      csv.write_row({util::CsvWriter::cell(static_cast<double>(d)),
-                     std::string(solar::day_type_name(r.day_type)),
-                     util::CsvWriter::cell(r.throughput_work),
-                     util::CsvWriter::cell(r.nodes[r.worst_node()].ah_discharged.value()),
-                     util::CsvWriter::cell(r.worst_low_soc_time().value() / 3600.0),
-                     util::CsvWriter::cell(r.total_downtime().value() / 3600.0),
-                     util::CsvWriter::cell(static_cast<double>(r.migrations)),
-                     util::CsvWriter::cell(static_cast<double>(r.dvfs_transitions))});
-    }
-  }
-
-  std::printf("policy        : %s\n", std::string(core::policy_kind_name(cfg.policy)).c_str());
-  if (!cfg.faults.empty()) {
-    std::printf("faults        : %s\n", cfg.faults.to_string().c_str());
-  }
-  // Only printed off the default so lead-acid output stays byte-identical
-  // to the pre-chemistry-backend simulator.
-  if (cfg.bank.kind != battery::Chemistry::LeadAcid) {
-    std::printf("chemistry     : %s\n",
-                std::string(battery::chemistry_name(cfg.bank.kind)).c_str());
   }
   std::printf("days          : %zu (sunshine %.2f, seed %llu%s)\n", options.days,
               options.sunshine_fraction,
@@ -837,13 +678,14 @@ int run_cli(const CliOptions& options) {
                 p.round_trip_efficiency * 100.0);
   }
   if (!options.report_path.empty()) {
+    // parse_cli only lets --report through at one shard.
     ReportInputs report;
     report.config = &cfg;
     report.result = &run;
-    report.cluster = &cluster;
+    report.cluster = &dc.shard(0);
     report.sunshine_fraction = options.sunshine_fraction;
-    report.registry = &registry;
-    report.trace = options.trace_path.empty() ? nullptr : &trace;
+    report.registry = &obs::global_registry();
+    report.trace = options.trace_path.empty() ? nullptr : &obs::global_trace();
     write_report(options.report_path, report);
     std::printf("report        : %s\n", options.report_path.c_str());
   }
@@ -853,35 +695,33 @@ int run_cli(const CliOptions& options) {
   if (!options.series_path.empty()) {
     std::printf("series        : %s\n", options.series_path.c_str());
   }
+  write_obs_exports(options);
+  return end_obs_session(0);
+}
 
-  if (!options.metrics_path.empty()) {
-    std::ofstream out{options.metrics_path};
-    if (!out) throw std::runtime_error("cannot open " + options.metrics_path);
-    if (ends_with(options.metrics_path, ".csv")) {
-      registry.write_csv(out);
-    } else {
-      registry.write_json(out);
-    }
-    std::printf("metrics       : %s\n", options.metrics_path.c_str());
-  }
-  if (!options.trace_path.empty()) {
-    std::ofstream out{options.trace_path};
-    if (!out) throw std::runtime_error("cannot open " + options.trace_path);
-    if (ends_with(options.trace_path, ".jsonl")) {
-      trace.write_jsonl(out);
-    } else {
-      trace.write_chrome_trace(out);
-    }
-    std::printf("trace         : %s (%zu events, %zu dropped)\n",
-                options.trace_path.c_str(), trace.size(), trace.dropped());
+}  // namespace
+
+int run_cli(const CliOptions& options) {
+  if (options.show_help) {
+    std::fputs(cli_usage().c_str(), stdout);
+    return 0;
   }
 
-  // Leave the process-global switches the way we found them (matters when
-  // run_cli is driven from tests rather than main()).
-  obs::set_trace_enabled(false);
-  obs::set_profiling_enabled(false);
-  util::set_sim_time(-1.0);
-  return 0;
+  if (options.log_level) util::set_log_level(*options.log_level);
+
+  // Observability session: fresh numbers per invocation. Profiling rides on
+  // --metrics-out (wall-clock histograms are only useful when exported);
+  // tracing rides on --trace-out.
+  obs::global_registry().reset();
+  obs::global_trace().set_capacity(options.trace_events);
+  obs::set_trace_enabled(!options.trace_path.empty());
+  obs::set_profiling_enabled(!options.metrics_path.empty());
+
+  const ScenarioConfig cfg = scenario_from_cli(options);
+  if (options.sweep_sunshine.empty()) return run_single(options, cfg);
+  run_sunshine_sweep(options, cfg);
+  write_obs_exports(options);
+  return end_obs_session(0);
 }
 
 }  // namespace baat::sim

@@ -44,10 +44,9 @@ struct CliOptions {
   fault::FaultPlan faults;
 
   // --- sharded datacenter -------------------------------------------------
-  /// Shard count; 0 keeps the classic single-cluster engine. `--shards 1`
-  /// runs the datacenter engine and stays byte-identical to the unsharded
-  /// run (stdout, CSV, series, trace) — only the checkpoint container
-  /// format differs (sectioned vs flat).
+  /// Shard count; 0 (flag absent) runs one shard, exactly like `--shards 1`:
+  /// every single run is the datacenter engine, so the two share outputs
+  /// and checkpoints byte-for-byte.
   std::size_t shards = 0;
   /// Worker threads stepping shards; 0 = default_sweep_jobs(). Never
   /// changes any output byte, only wall-clock time.

@@ -3,7 +3,8 @@
 // Sharded datacenter simulation (DESIGN.md §5h): N self-contained Cluster
 // shards — one SoA battery fleet, power router, policy, watchdog and fault
 // stream each — stepped in parallel by a persistent WorkerPool and merged
-// deterministically at day boundaries.
+// deterministically at day boundaries. It is also the one multi-day engine:
+// run_multi_day drives a single Cluster as a one-shard datacenter.
 //
 // Determinism contract (the PR 2 discipline, one level up):
 //  * each shard permanently owns a private obs::Registry, obs::TraceBuffer
@@ -20,6 +21,8 @@
 //    selection) run on the caller thread in shard order over IEEE-exact
 //    sums, so a 1-shard datacenter reproduces the unsharded Cluster
 //    pipeline byte-for-byte.
+// The one exception is the inline shard of Datacenter(Cluster&): it runs on
+// the caller's thread under the caller's sinks, with nothing to drain.
 //
 // Demand model: when DatacenterConfig::demand is non-empty, each shard's
 // daily job plan is recomputed every morning from the request-level demand
@@ -57,6 +60,11 @@ struct DatacenterConfig {
 class Datacenter {
  public:
   explicit Datacenter(DatacenterConfig cfg);
+  /// A one-shard datacenter over a caller-owned cluster — the classic
+  /// single-cluster run. The shard runs inline on the caller's thread under
+  /// the caller's obs sinks: no private registry, trace ring or drain step.
+  /// `cluster` must outlive the datacenter.
+  explicit Datacenter(Cluster& cluster);
 
   [[nodiscard]] const DatacenterConfig& config() const { return cfg_; }
   [[nodiscard]] std::size_t shard_count() const { return shards_.size(); }
@@ -94,7 +102,9 @@ class Datacenter {
   void merge_metrics_into(obs::Registry& target) const;
 
   /// Append one "shard-i" section per shard (solar stream, metric registry,
-  /// cluster state) to a sectioned checkpoint. Day-boundary only.
+  /// cluster state) to a sectioned checkpoint. Day-boundary only. The
+  /// inline shard has no registry of its own: the caller's travels in the
+  /// loop section.
   void save_shard_sections(snapshot::SectionFileWriter& out) const;
   /// Restore the per-shard sections save_shard_sections wrote, in order.
   void load_shard_sections(snapshot::SectionFileReader& in);
@@ -103,23 +113,29 @@ class Datacenter {
   void resume_at_day(long day) { day_counter_ = day; }
 
  private:
-  struct Shard {
+  /// A shard's private obs sinks, drained into the caller's after each day.
+  struct ShardSinks {
     obs::Registry registry;
     obs::TraceBuffer trace;
     std::vector<std::pair<util::LogLevel, std::string>> log_lines;
     util::LogSink log_sink;
+    explicit ShardSinks(std::size_t trace_capacity) : trace(trace_capacity) {}
+  };
+  struct Shard {
     util::Rng solar_rng;
-    std::unique_ptr<Cluster> cluster;
+    std::unique_ptr<Cluster> owned;
+    Cluster* cluster = nullptr;  ///< `owned`, or the caller's for the inline shard
+    std::unique_ptr<ShardSinks> sinks;  ///< null for the inline shard
     DayResult result;
     std::exception_ptr error;
-    Shard(std::size_t trace_capacity, util::Rng rng)
-        : trace(trace_capacity), solar_rng(rng) {}
+    double failed_at = 0.0;  ///< the shard's sim clock when `error` was thrown
+    explicit Shard(util::Rng rng) : solar_rng(rng) {}
   };
 
   /// Drain one shard's trace and log lines into the caller's global sinks
   /// (caller thread; invoked in shard order).
-  void drain_obs(Shard& s);
-  DayResult dispatch_day(const std::function<DayResult(Cluster&)>& step_shard);
+  static void drain_obs(Shard& s);
+  DayResult dispatch_day(const std::function<DayResult(std::size_t, Cluster&)>& step_shard);
   void install_demand_jobs();
 
   DatacenterConfig cfg_;
@@ -136,10 +152,11 @@ class Datacenter {
 std::uint64_t datacenter_fingerprint(const DatacenterConfig& cfg,
                                      const MultiDayOptions& options);
 
-/// The sharded analogue of run_multi_day: same weather stream, probe
-/// cadence, series cadence, blackbox hooks and checkpoint cadence, with
-/// sectioned checkpoint files (snapshot/sections.hpp) whose section 0 is
-/// the loop state and sections 1..N are one shard each.
+/// The multi-day loop (DESIGN.md §5f): weather stream, probe cadence, series
+/// cadence, blackbox hook and checkpoint cadence, with sectioned checkpoint
+/// files (snapshot/sections.hpp) whose section 0 is the loop state and
+/// sections 1..N are one shard each. run_multi_day is this loop over a
+/// one-shard datacenter.
 MultiDayResult run_datacenter_multi_day(Datacenter& dc, const MultiDayOptions& options);
 
 }  // namespace baat::sim

@@ -11,7 +11,8 @@
 #include "fault/injector.hpp"
 #include "obs/blackbox.hpp"
 #include "obs/obs.hpp"
-#include "snapshot/snapshot.hpp"
+#include "sim/datacenter.hpp"
+#include "snapshot/sections.hpp"
 #include "telemetry/soh.hpp"
 #include "util/require.hpp"
 #include "util/sim_clock.hpp"
@@ -19,20 +20,6 @@
 namespace baat::sim {
 
 namespace {
-
-void save_probe(snapshot::SnapshotWriter& w, const battery::ProbeResult& p) {
-  w.write_f64(p.full_voltage.value());
-  w.write_f64(p.capacity_fraction);
-  w.write_f64(p.energy_per_cycle.value());
-  w.write_f64(p.round_trip_efficiency);
-}
-
-void load_probe(snapshot::SnapshotReader& r, battery::ProbeResult& p) {
-  p.full_voltage = util::Volts{r.read_f64()};
-  p.capacity_fraction = r.read_f64();
-  p.energy_per_cycle = util::WattHours{r.read_f64()};
-  p.round_trip_efficiency = r.read_f64();
-}
 
 std::string ledger_csv(const Cluster& cluster) {
   using obs::format_number;
@@ -64,8 +51,10 @@ std::string ledger_csv(const Cluster& cluster) {
   return csv;
 }
 
-}  // namespace
-
+/// Assemble and atomically publish a flight-recorder bundle for one cluster
+/// (DESIGN.md §5g). Best-effort by design: this runs while a simulation is
+/// dying, so failures go to stderr and are never thrown over the original
+/// error.
 void dump_cluster_blackbox(Cluster& cluster, long day, const char* reason,
                            const std::string& parent_dir, std::uint64_t config_hash) {
   try {
@@ -95,7 +84,7 @@ void dump_cluster_blackbox(Cluster& cluster, long day, const char* reason,
       snapshot::SnapshotWriter w;
       cluster.save_state(w);
       const std::vector<std::uint8_t> container =
-          snapshot::snapshot_container_bytes(config_hash, w.bytes());
+          snapshot::section_file_bytes(config_hash, {w.bytes()});
       files.push_back({"cluster.snap",
                        std::string(reinterpret_cast<const char*>(container.data()),
                                    container.size())});
@@ -111,6 +100,162 @@ void dump_cluster_blackbox(Cluster& cluster, long day, const char* reason,
   }
 }
 
+/// Everything the day loop carries from one day to the next besides the
+/// shards themselves: checkpoint section 0.
+struct LoopState {
+  MultiDayResult result;
+  // The probe series feeds an online SoH estimator — the least-squares fit
+  // behind the lifetime projection. A probe_stale fault repeats the previous
+  // measurement instead of running a fresh one (the series still advances).
+  telemetry::SohEstimator soh;
+  std::optional<battery::ProbeResult> last_probe;
+  SeriesWriter series;
+
+  void save(snapshot::SnapshotWriter& w, std::size_t next_day,
+            const std::vector<solar::DayType>& weather) const {
+    w.write_u64(next_day);
+    std::vector<std::uint8_t> weather_bytes;
+    weather_bytes.reserve(weather.size());
+    for (solar::DayType t : weather) weather_bytes.push_back(static_cast<std::uint8_t>(t));
+    w.write_u8_vec(weather_bytes);
+    soh.save_state(w);
+    const battery::ProbeResult probe = last_probe.value_or(battery::ProbeResult{});
+    w.write_bool(last_probe.has_value());
+    w.write_f64(probe.full_voltage.value());
+    w.write_f64(probe.capacity_fraction);
+    w.write_f64(probe.energy_per_cycle.value());
+    w.write_f64(probe.round_trip_efficiency);
+    save_state(w, result);
+    obs::global_registry().save_state(w);
+    obs::global_trace().save_state(w);
+    w.write_f64(util::sim_time());
+    series.save_state(w);
+  }
+
+  /// Restores section 0 and returns the first day left to run.
+  std::size_t load(snapshot::SnapshotReader& r, const std::string& path, std::size_t days,
+                   const std::vector<solar::DayType>& weather) {
+    const auto next_day = static_cast<std::size_t>(r.read_u64());
+    if (next_day > days) {
+      throw snapshot::SnapshotError("snapshot '" + path + "' has already passed day " +
+                                    std::to_string(days) + "; nothing left to resume");
+    }
+    const std::vector<std::uint8_t> saved_weather = r.read_u8_vec();
+    for (std::size_t d = 0; d < saved_weather.size() && d < weather.size(); ++d) {
+      if (saved_weather[d] != static_cast<std::uint8_t>(weather[d])) {
+        throw snapshot::SnapshotError(
+            "snapshot '" + path + "' was taken under a different weather "
+            "sequence (day " + std::to_string(d) + " differs); the config hash should "
+            "normally catch this — check seed and sunshine options");
+      }
+    }
+    soh.load_state(r);
+    const bool has_probe = r.read_bool();
+    battery::ProbeResult probe;
+    probe.full_voltage = util::Volts{r.read_f64()};
+    probe.capacity_fraction = r.read_f64();
+    probe.energy_per_cycle = util::WattHours{r.read_f64()};
+    probe.round_trip_efficiency = r.read_f64();
+    if (has_probe) last_probe = probe;
+    load_state(r, result);
+    obs::global_registry().load_state(r);
+    obs::global_trace().load_state(r);
+    util::set_sim_time(r.read_f64());
+    series.load_state(r);
+    if (!r.exhausted()) {
+      throw snapshot::SnapshotError("snapshot '" + path + "' carries " +
+                                    std::to_string(r.remaining()) +
+                                    " trailing bytes past the restored state");
+    }
+    return next_day;
+  }
+};
+
+/// Restores a day-loop checkpoint into `loop` and `dc`; returns the first
+/// day left to run. Status goes to stderr: stdout must stay byte-identical
+/// to the uninterrupted run.
+std::size_t resume_checkpoint(Datacenter& dc, const MultiDayOptions& options,
+                              const std::vector<solar::DayType>& weather, LoopState& loop) {
+  const CheckpointOptions& ckpt = options.checkpoint;
+  snapshot::SectionFileReader in(ckpt.resume_path, ckpt.config_hash);
+  if (in.header().section_count != 1 + dc.shard_count()) {
+    throw snapshot::SnapshotError(
+        "snapshot '" + ckpt.resume_path + "' holds " +
+        std::to_string(in.header().section_count) + " sections but a " +
+        std::to_string(dc.shard_count()) + "-shard datacenter needs " +
+        std::to_string(1 + dc.shard_count()));
+  }
+  const std::vector<std::uint8_t> loop_section = in.read_section();
+  snapshot::SnapshotReader r{loop_section};
+  const std::size_t start_day = loop.load(r, ckpt.resume_path, options.days, weather);
+  dc.load_shard_sections(in);
+  in.finish();
+  dc.resume_at_day(static_cast<long>(start_day));
+  std::cerr << "[checkpoint] resumed from '" << ckpt.resume_path << "' at day " << start_day
+            << " of " << options.days << "\n";
+  return start_day;
+}
+
+void write_checkpoint(const Datacenter& dc, const MultiDayOptions& options,
+                      const std::vector<solar::DayType>& weather, const LoopState& loop,
+                      std::size_t next_day) {
+  const CheckpointOptions& ckpt = options.checkpoint;
+  snapshot::SnapshotWriter w;
+  loop.save(w, next_day, weather);
+
+  const std::string dir = ckpt.dir.empty() ? std::string(".") : ckpt.dir;
+  std::error_code ec;
+  std::filesystem::create_directories(dir, ec);
+  if (ec) {
+    throw snapshot::SnapshotError("cannot create checkpoint directory '" + dir +
+                                  "': " + ec.message());
+  }
+  const std::string path = dir + "/checkpoint-day-" + std::to_string(next_day) + ".snap";
+  snapshot::SectionFileWriter out(path, ckpt.config_hash, 1 + dc.shard_count());
+  out.append(w.bytes());
+  dc.save_shard_sections(out);
+  out.commit();
+  std::cerr << "[checkpoint] wrote '" << path << "' after day " << next_day << "\n";
+}
+
+/// The monthly instrumented probe behind Figs 3–5: the battery with the
+/// largest *cumulative* throughput, so the series tracks one physical unit
+/// as the prototype did. Scanned shard-major with strict >, which at one
+/// shard is the single-cluster selection rule.
+void take_monthly_probe(Datacenter& dc, std::size_t day, std::size_t every, LoopState& loop) {
+  std::size_t worst_shard = 0;
+  std::size_t worst_node = 0;
+  for (std::size_t s = 0; s < dc.shard_count(); ++s) {
+    const std::vector<battery::Battery>& bank = dc.shard(s).batteries();
+    for (std::size_t b = 0; b < bank.size(); ++b) {
+      if (bank[b].counters().ah_discharged >
+          dc.shard(worst_shard).batteries()[worst_node].counters().ah_discharged) {
+        worst_shard = s;
+        worst_node = b;
+      }
+    }
+  }
+  Cluster& cluster = dc.shard(worst_shard);
+  MonthlyProbe mp;
+  mp.month = static_cast<int>((day + 1) / every);
+  fault::FaultInjector* injector = cluster.injector();
+  battery::ProbeResult probe;
+  if (injector != nullptr && loop.last_probe.has_value() && injector->probe_is_stale(mp.month)) {
+    probe = *loop.last_probe;
+  } else {
+    probe = battery::run_probe(cluster.batteries()[worst_node]);
+    loop.last_probe = probe;
+  }
+  loop.soh.add_probe(static_cast<double>(day + 1), probe.capacity_fraction);
+  mp.full_voltage = probe.full_voltage.value();
+  mp.capacity_fraction = probe.capacity_fraction;
+  mp.energy_per_cycle_wh = probe.energy_per_cycle.value();
+  mp.round_trip_efficiency = probe.round_trip_efficiency;
+  mp.health = cluster.batteries()[worst_node].health();
+  loop.result.monthly.push_back(mp);
+}
+
+}  // namespace
 
 std::vector<solar::DayType> mixed_weather(std::size_t days, std::size_t sunny,
                                           std::size_t cloudy, std::size_t rainy) {
@@ -125,197 +270,93 @@ std::vector<solar::DayType> mixed_weather(std::size_t days, std::size_t sunny,
 }
 
 MultiDayResult run_multi_day(Cluster& cluster, const MultiDayOptions& options) {
+  Datacenter dc{cluster};
+  return run_datacenter_multi_day(dc, options);
+}
+
+MultiDayResult run_datacenter_multi_day(Datacenter& dc, const MultiDayOptions& options) {
   BAAT_OBS_TIMED("run_multi_day");
   BAAT_REQUIRE(options.days > 0, "must simulate at least one day");
 
   std::vector<solar::DayType> weather = options.weather;
   if (weather.empty()) {
-    util::Rng weather_rng = util::Rng::stream(cluster.config().seed, "weather-seq");
+    util::Rng weather_rng = util::Rng::stream(dc.config().scenario.seed, "weather-seq");
     weather = solar::Location{options.sunshine_fraction}.sample_days(options.days,
                                                                      weather_rng);
   }
   BAAT_REQUIRE(weather.size() >= options.days, "weather sequence shorter than run");
 
-  util::Rng solar_rng = util::Rng::stream(cluster.config().seed, "solar-days");
-
-  MultiDayResult result;
-  // The probe series feeds an online SoH estimator — the least-squares fit
-  // behind the lifetime projection. A probe_stale fault repeats the previous
-  // measurement instead of running a fresh one (the series still advances).
-  telemetry::SohEstimator soh;
-  std::optional<battery::ProbeResult> last_probe;
-
-  SeriesWriter series;
-  series.configure(options.series);
-
-  std::size_t start_day = 0;
+  LoopState loop;
+  loop.series.configure(options.series);
   const CheckpointOptions& ckpt = options.checkpoint;
-  if (!ckpt.resume_path.empty()) {
-    // Restore the loop exactly where the snapshot left it. Status goes to
-    // stderr: stdout must stay byte-identical to the uninterrupted run.
-    const std::vector<std::uint8_t> payload =
-        snapshot::read_snapshot_file(ckpt.resume_path, ckpt.config_hash);
-    snapshot::SnapshotReader r{payload};
-    start_day = static_cast<std::size_t>(r.read_u64());
-    if (start_day > options.days) {
-      throw snapshot::SnapshotError("snapshot '" + ckpt.resume_path + "' has already passed day " +
-                                    std::to_string(options.days) +
-                                    "; nothing left to resume");
-    }
-    const std::vector<std::uint8_t> saved_weather = r.read_u8_vec();
-    for (std::size_t d = 0; d < saved_weather.size() && d < weather.size(); ++d) {
-      if (saved_weather[d] != static_cast<std::uint8_t>(weather[d])) {
-        throw snapshot::SnapshotError(
-            "snapshot '" + ckpt.resume_path + "' was taken under a different weather "
-            "sequence (day " + std::to_string(d) + " differs); the config hash should "
-            "normally catch this — check seed and sunshine options");
-      }
-    }
-    solar_rng.load_state(r);
-    soh.load_state(r);
-    const bool has_probe = r.read_bool();
-    battery::ProbeResult probe;
-    load_probe(r, probe);
-    if (has_probe) last_probe = probe;
-    load_state(r, result);
-    cluster.load_state(r);
-    obs::global_registry().load_state(r);
-    obs::global_trace().load_state(r);
-    util::set_sim_time(r.read_f64());
-    series.load_state(r);
-    if (!r.exhausted()) {
-      throw snapshot::SnapshotError("snapshot '" + ckpt.resume_path + "' carries " +
-                                    std::to_string(r.remaining()) +
-                                    " trailing bytes past the restored state");
-    }
-    std::cerr << "[checkpoint] resumed from '" << ckpt.resume_path << "' at day "
-              << start_day << " of " << options.days << "\n";
-  }
+  const std::size_t start_day =
+      ckpt.resume_path.empty() ? 0 : resume_checkpoint(dc, options, weather, loop);
 
-  // Fatal signals and uncaught exceptions land here via the crash handlers
-  // (when installed): dump a flight-recorder bundle for the day being run.
+  // Ship a flight-recorder bundle for the failing shard of the day being
+  // run. The bundle's metrics/trace come from the caller's sinks, so the
+  // shard registries are folded in first to show the whole datacenter.
   long blackbox_day = static_cast<long>(start_day);
-  struct HookGuard {
-    bool active;
-    ~HookGuard() {
-      if (active) obs::clear_crash_dump_hook();
-    }
-  } hook_guard{options.blackbox};
+  const auto dump_blackbox = [&dc, &options](long day, const char* reason) {
+    dc.merge_metrics_into(obs::global_registry());
+    dump_cluster_blackbox(dc.shard(dc.last_failed_shard()), day, reason,
+                          options.blackbox_dir, options.checkpoint.config_hash);
+  };
+  // Fatal signals and uncaught exceptions land here via the crash handlers.
+  std::optional<obs::CrashDumpHook> crash_hook;
   if (options.blackbox) {
-    obs::set_crash_dump_hook([&cluster, &blackbox_day, &options, &ckpt](const char* reason) {
-      dump_cluster_blackbox(cluster, blackbox_day, reason, options.blackbox_dir, ckpt.config_hash);
+    crash_hook.emplace([&dump_blackbox, &blackbox_day](const char* reason) {
+      dump_blackbox(blackbox_day, reason);
     });
   }
 
   for (std::size_t d = start_day; d < options.days; ++d) {
     blackbox_day = static_cast<long>(d);
-    const solar::SolarDay day{cluster.config().plant, weather[d], solar_rng.fork("day")};
     DayResult day_result;
     try {
-      day_result = cluster.run_day(day);
+      day_result = dc.run_day(dc.sample_solar_days(weather[d]));
     } catch (const std::exception& e) {
       // The watchdog tripped or the day loop died some other way: ship the
       // flight-recorder bundle, then let the error propagate untouched.
-      if (options.blackbox) {
-        dump_cluster_blackbox(cluster, static_cast<long>(d), e.what(), options.blackbox_dir,
-                      ckpt.config_hash);
-      }
+      if (options.blackbox) dump_blackbox(static_cast<long>(d), e.what());
       throw;
     }
-    result.total_throughput += day_result.throughput_work;
+    loop.result.total_throughput += day_result.throughput_work;
     // Same-edge merge, not re-binning: re-adding bin weights at bin_lo()
     // silently dropped each day's underflow/overflow weight — exactly the
     // out-of-range low-SoC (and pegged-full) node-seconds Figs 18/19 read.
-    result.soc_histogram.merge(day_result.soc_histogram);
+    loop.result.soc_histogram.merge(day_result.soc_histogram);
 
-    const bool probe_due = options.probe_every_days > 0 &&
-                           (d + 1) % options.probe_every_days == 0;
-    if (probe_due) {
-      // Probe the unit with the largest *cumulative* throughput so the
-      // monthly series tracks one physical battery, as the prototype did.
-      std::size_t worst = 0;
-      for (std::size_t b = 1; b < cluster.node_count(); ++b) {
-        if (cluster.batteries()[b].counters().ah_discharged >
-            cluster.batteries()[worst].counters().ah_discharged) {
-          worst = b;
-        }
-      }
-      MonthlyProbe mp;
-      mp.month = static_cast<int>((d + 1) / options.probe_every_days);
-      fault::FaultInjector* injector = cluster.injector();
-      battery::ProbeResult probe;
-      if (injector != nullptr && last_probe.has_value() &&
-          injector->probe_is_stale(mp.month)) {
-        probe = *last_probe;
-      } else {
-        probe = battery::run_probe(cluster.batteries()[worst]);
-        last_probe = probe;
-      }
-      soh.add_probe(static_cast<double>(d + 1), probe.capacity_fraction);
-      mp.full_voltage = probe.full_voltage.value();
-      mp.capacity_fraction = probe.capacity_fraction;
-      mp.energy_per_cycle_wh = probe.energy_per_cycle.value();
-      mp.round_trip_efficiency = probe.round_trip_efficiency;
-      mp.health = cluster.batteries()[worst].health();
-      result.monthly.push_back(mp);
+    if (options.probe_every_days > 0 && (d + 1) % options.probe_every_days == 0) {
+      take_monthly_probe(dc, d, options.probe_every_days, loop);
     }
 
-    if (series.should_write(static_cast<long>(d))) {
-      series.write_day(static_cast<long>(d), cluster, day_result);
+    if (loop.series.should_write(static_cast<long>(d))) {
+      loop.series.write_day(static_cast<long>(d), dc.shard_ptrs(), day_result);
       // Advance the attribution window so the next row reports per-window
       // deltas, not lifetime totals repeated.
-      cluster.ledger_advance();
+      for (std::size_t s = 0; s < dc.shard_count(); ++s) dc.shard(s).ledger_advance();
     }
 
-    if (options.keep_days) {
-      result.days.push_back(std::move(day_result));
-    }
+    if (options.keep_days) loop.result.days.push_back(std::move(day_result));
 
-    const bool checkpoint_due = ckpt.every_days > 0 && (d + 1) % ckpt.every_days == 0 &&
-                                d + 1 < options.days;
-    if (checkpoint_due) {
-      snapshot::SnapshotWriter w;
-      w.write_u64(d + 1);
-      std::vector<std::uint8_t> weather_bytes;
-      weather_bytes.reserve(weather.size());
-      for (solar::DayType t : weather) {
-        weather_bytes.push_back(static_cast<std::uint8_t>(t));
-      }
-      w.write_u8_vec(weather_bytes);
-      solar_rng.save_state(w);
-      soh.save_state(w);
-      w.write_bool(last_probe.has_value());
-      save_probe(w, last_probe.value_or(battery::ProbeResult{}));
-      save_state(w, result);
-      cluster.save_state(w);
-      obs::global_registry().save_state(w);
-      obs::global_trace().save_state(w);
-      w.write_f64(util::sim_time());
-      series.save_state(w);
-
-      const std::string dir = ckpt.dir.empty() ? std::string(".") : ckpt.dir;
-      std::error_code ec;
-      std::filesystem::create_directories(dir, ec);
-      if (ec) {
-        throw snapshot::SnapshotError("cannot create checkpoint directory '" + dir +
-                                      "': " + ec.message());
-      }
-      const std::string path = dir + "/checkpoint-day-" + std::to_string(d + 1) + ".snap";
-      snapshot::write_snapshot_file(path, ckpt.config_hash, w.bytes());
-      std::cerr << "[checkpoint] wrote '" << path << "' after day " << (d + 1) << "\n";
+    if (ckpt.every_days > 0 && (d + 1) % ckpt.every_days == 0 && d + 1 < options.days) {
+      write_checkpoint(dc, options, weather, loop, d + 1);
     }
   }
 
+  MultiDayResult& result = loop.result;
   double mean_health = 0.0;
   double min_health = 1.0;
-  for (const battery::Battery& b : cluster.batteries()) {
-    mean_health += b.health();
-    min_health = std::min(min_health, b.health());
+  for (std::size_t s = 0; s < dc.shard_count(); ++s) {
+    for (const battery::Battery& b : dc.shard(s).batteries()) {
+      mean_health += b.health();
+      min_health = std::min(min_health, b.health());
+    }
   }
-  result.mean_health_end = mean_health / static_cast<double>(cluster.node_count());
+  result.mean_health_end = mean_health / static_cast<double>(dc.node_count());
   result.min_health_end = min_health;
-  if (soh.probe_count() >= 2) result.projected_eol_day = soh.projected_eol_day();
-  return result;
+  if (loop.soh.probe_count() >= 2) result.projected_eol_day = loop.soh.projected_eol_day();
+  return std::move(result);
 }
 
 std::uint64_t scenario_fingerprint(const ScenarioConfig& cfg, const MultiDayOptions& options) {

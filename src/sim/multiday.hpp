@@ -17,8 +17,9 @@ namespace baat::sim {
 /// Crash-safe checkpointing of a multi-day run (DESIGN.md §5f). Checkpoints
 /// are written at day boundaries — the only instants where the cluster's
 /// workload microstate is empty — and capture everything the loop needs to
-/// continue bit-identically: cluster state, the solar-day RNG, the SoH probe
-/// series, the result accumulators and the obs registry/trace.
+/// continue bit-identically: section 0 holds the SoH probe series, the
+/// result accumulators and the caller's obs registry/trace; one section per
+/// shard holds its solar-day RNG and cluster state.
 struct CheckpointOptions {
   /// Write a snapshot every N completed days; 0 disables periodic
   /// checkpoints (a `resume_path` alone is still honoured).
@@ -52,15 +53,10 @@ struct MultiDayOptions {
   std::string blackbox_dir{};
 };
 
+/// Runs `cluster` as a one-shard datacenter through the multi-day loop
+/// (run_datacenter_multi_day, sim/datacenter.hpp). The cluster runs inline
+/// on the calling thread and reports into the caller's obs sinks.
 MultiDayResult run_multi_day(Cluster& cluster, const MultiDayOptions& options);
-
-/// Assemble and atomically publish a flight-recorder bundle for one cluster
-/// (DESIGN.md §5g). Best-effort by design: this runs while a simulation is
-/// dying, so failures go to stderr and are never thrown over the original
-/// error. Shared by the single-cluster day loop and the sharded datacenter
-/// loop (which dumps the failing shard).
-void dump_cluster_blackbox(Cluster& cluster, long day, const char* reason,
-                           const std::string& parent_dir, std::uint64_t config_hash);
 
 /// Fingerprint of everything that shapes a run's trajectory (scenario knobs,
 /// fault plan, math tier, weather/probe options). Stamped into snapshot

@@ -100,36 +100,6 @@ void SeriesWriter::append(const std::string& text) {
   out_ << text;
 }
 
-void SeriesWriter::write_day(long day, const Cluster& cluster, const DayResult& result) {
-  if (!active()) return;
-  ensure_open();
-  const battery::MechanismAxis axis =
-      battery::mechanism_axis(cluster.config().bank.kind);
-  if (!jsonl_ && !header_written_) {
-    append(csv_header(axis));
-    header_written_ = true;
-  }
-
-  const double score = cluster.watchdog().log().score();
-  for (std::size_t i = 0; i < cluster.node_count(); ++i) {
-    const battery::CellLedgerEntry e = cluster.node_ledger_delta(i);
-    const NodeDayStats& n = result.nodes[i];
-    const std::string label = std::to_string(i);
-    append(jsonl_ ? jsonl_row(day, label, &n, axis, e.fade, e.cycle_damage, e.efc,
-                              e.low_soc_dwell_s, score, result.throughput_work)
-                  : csv_row(day, label, &n, axis, e.fade, e.cycle_damage, e.efc,
-                            e.low_soc_dwell_s, score, result.throughput_work));
-  }
-  const battery::LedgerRollup roll = cluster.ledger_rollup(false);
-  append(jsonl_ ? jsonl_row(day, "cluster", nullptr, axis, roll.fade, roll.cycle_damage,
-                            roll.efc, roll.low_soc_dwell_s, score,
-                            result.throughput_work)
-                : csv_row(day, "cluster", nullptr, axis, roll.fade, roll.cycle_damage,
-                          roll.efc, roll.low_soc_dwell_s, score,
-                          result.throughput_work));
-  out_.flush();
-}
-
 void SeriesWriter::write_day(long day, const std::vector<const Cluster*>& shards,
                              const DayResult& merged) {
   if (!active()) return;

@@ -41,15 +41,12 @@ class SeriesWriter {
     return active() && options_.every > 0 && (day + 1) % options_.every == 0;
   }
 
-  /// Append the rows of one completed day; the caller advances the ledger
+  /// Append the rows of one completed day; the caller advances the ledgers
   /// afterwards so the next emission's deltas cover the next window.
-  void write_day(long day, const Cluster& cluster, const DayResult& result);
-
-  /// Sharded-datacenter variant: per-node rows walk the shards in shard
-  /// order with *global* node labels, each row scored by its owning shard's
-  /// watchdog; the rollup row sums the shard ledgers and reports the worst
-  /// (minimum) shard score. At one shard this is byte-identical to the
-  /// single-cluster overload. `merged` is the day's merged DayResult.
+  /// Per-node rows walk the shards in shard order with *global* node labels,
+  /// each row scored by its owning shard's watchdog; the rollup row sums the
+  /// shard ledgers and reports the worst (minimum) shard score. `merged` is
+  /// the day's merged DayResult.
   void write_day(long day, const std::vector<const Cluster*>& shards,
                  const DayResult& merged);
 

@@ -7,7 +7,7 @@
 #include <iostream>
 #include <thread>
 
-#include "snapshot/snapshot.hpp"
+#include "snapshot/sections.hpp"
 #include "util/sim_clock.hpp"
 
 namespace baat::sim {
@@ -87,11 +87,12 @@ void run_one(const SweepJob& job, std::size_t index, const SweepOptions& options
     // A valid per-job checkpoint means the job already ran to completion in
     // an earlier (interrupted) sweep: restore its result and skip the work.
     // Anything wrong with the file — truncation, CRC, version, config hash,
-    // trailing bytes — downgrades to a warning and a normal re-run, which
-    // overwrites the bad file.
+    // trailing bytes, the retired flat container — downgrades to a warning
+    // and a normal re-run, which overwrites the bad file.
     try {
-      const std::vector<std::uint8_t> payload =
-          snapshot::read_snapshot_file(ckpt_path, options.config_hash);
+      snapshot::SectionFileReader in(ckpt_path, options.config_hash);
+      const std::vector<std::uint8_t> payload = in.read_section();
+      in.finish();
       snapshot::SnapshotReader r{payload};
       job.restore_result(r);
       if (!r.exhausted()) {
@@ -132,7 +133,9 @@ void run_one(const SweepJob& job, std::size_t index, const SweepOptions& options
     try {
       snapshot::SnapshotWriter w;
       job.save_result(w);
-      snapshot::write_snapshot_file(ckpt_path, options.config_hash, w.bytes());
+      snapshot::SectionFileWriter out(ckpt_path, options.config_hash, 1);
+      out.append(w.bytes());
+      out.commit();
     } catch (const std::exception& e) {
       std::cerr << "[checkpoint] could not write '" << ckpt_path << "': "
                 << e.what() << "\n";

@@ -1,5 +1,6 @@
 #include "snapshot/sections.hpp"
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdio>
 #include <filesystem>
@@ -10,36 +11,72 @@ namespace baat::snapshot {
 namespace {
 
 constexpr char kSectMagic[8] = {'B', 'A', 'A', 'T', 'S', 'E', 'C', 'T'};
+constexpr char kRetiredMagic[8] = {'B', 'A', 'A', 'T', 'S', 'N', 'A', 'P'};
 constexpr std::size_t kSectHeaderSize = 28;
 constexpr std::size_t kSectionPrefixSize = 12;  // u64 size + u32 crc
 
-}  // namespace
-
-SectionFileWriter::SectionFileWriter(std::string path, std::uint64_t config_hash,
-                                     std::uint64_t section_count)
-    : path_(std::move(path)), tmp_(path_ + ".tmp"), declared_(section_count) {
-  out_.open(tmp_, std::ios::binary | std::ios::trunc);
-  if (!out_) {
-    throw SnapshotError("cannot open '" + tmp_ + "' for writing");
-  }
+void put_header(std::vector<std::uint8_t>& out, std::uint64_t config_hash,
+                std::uint64_t section_count) {
   SnapshotWriter header;
   for (char c : kSectMagic) header.write_u8(static_cast<std::uint8_t>(c));
   header.write_u32(kSectionFormatVersion);
   header.write_u64(config_hash);
   header.write_u64(section_count);
-  out_.write(reinterpret_cast<const char*>(header.bytes().data()),
-             static_cast<std::streamsize>(header.size()));
-  if (!out_) {
-    throw SnapshotError("I/O error writing snapshot header to '" + tmp_ + "'");
+  out.insert(out.end(), header.bytes().begin(), header.bytes().end());
+}
+
+void put_section_prefix(std::vector<std::uint8_t>& out, std::span<const std::uint8_t> payload) {
+  SnapshotWriter prefix;
+  prefix.write_u64(payload.size());
+  prefix.write_u32(crc32(payload));
+  out.insert(out.end(), prefix.bytes().begin(), prefix.bytes().end());
+}
+
+}  // namespace
+
+std::vector<std::uint8_t> section_file_bytes(
+    std::uint64_t config_hash, const std::vector<std::vector<std::uint8_t>>& sections) {
+  std::vector<std::uint8_t> out;
+  put_header(out, config_hash, sections.size());
+  for (const std::vector<std::uint8_t>& payload : sections) {
+    put_section_prefix(out, payload);
+    out.insert(out.end(), payload.begin(), payload.end());
   }
+  return out;
+}
+
+SectionFileWriter::SectionFileWriter(std::string path, std::uint64_t config_hash,
+                                     std::uint64_t section_count)
+    : path_(std::move(path)), tmp_(path_ + ".tmp"), declared_(section_count) {
+  put_header(pending_, config_hash, section_count);
 }
 
 SectionFileWriter::~SectionFileWriter() {
-  if (!committed_) {
+  if (!committed_ && out_.is_open()) {
     out_.close();
     std::error_code ignore;
     std::filesystem::remove(tmp_, ignore);
   }
+}
+
+void SectionFileWriter::write_out(std::span<const std::uint8_t> bytes) {
+  out_.write(reinterpret_cast<const char*>(bytes.data()),
+             static_cast<std::streamsize>(bytes.size()));
+  if (!out_) {
+    throw SnapshotError("I/O error writing snapshot section " + std::to_string(written_) +
+                        " to '" + tmp_ + "'");
+  }
+}
+
+void SectionFileWriter::spill() {
+  if (!out_.is_open()) {
+    out_.open(tmp_, std::ios::binary | std::ios::trunc);
+    if (!out_) {
+      throw SnapshotError("cannot open '" + tmp_ + "' for writing");
+    }
+  }
+  write_out(pending_);
+  pending_.clear();
 }
 
 void SectionFileWriter::append(std::span<const std::uint8_t> payload) {
@@ -50,17 +87,18 @@ void SectionFileWriter::append(std::span<const std::uint8_t> payload) {
     throw SnapshotError("snapshot '" + path_ + "' declared " + std::to_string(declared_) +
                         " sections but more were appended");
   }
-  SnapshotWriter prefix;
-  prefix.write_u64(payload.size());
-  prefix.write_u32(crc32(payload));
-  out_.write(reinterpret_cast<const char*>(prefix.bytes().data()),
-             static_cast<std::streamsize>(prefix.size()));
-  out_.write(reinterpret_cast<const char*>(payload.data()),
-             static_cast<std::streamsize>(payload.size()));
-  out_.flush();
-  if (!out_) {
-    throw SnapshotError("I/O error writing snapshot section " + std::to_string(written_) +
-                        " to '" + tmp_ + "'");
+  put_section_prefix(pending_, payload);
+  if (!out_.is_open() && pending_.size() + payload.size() <= kSectionBufferBytes) {
+    pending_.insert(pending_.end(), payload.begin(), payload.end());
+  } else {
+    // Too large to buffer: stream this section (and everything after it)
+    // straight to the tmp file instead of copying it, and hand the buffer
+    // back. A buffered file keeps it until after the rename: freeing it
+    // inside the commit window would only lengthen the window.
+    spill();
+    pending_.shrink_to_fit();
+    write_out(payload);
+    out_.flush();
   }
   ++written_;
 }
@@ -73,7 +111,7 @@ void SectionFileWriter::commit() {
     throw SnapshotError("snapshot '" + path_ + "' declared " + std::to_string(declared_) +
                         " sections but only " + std::to_string(written_) + " were appended");
   }
-  out_.flush();
+  spill();
   out_.close();
   if (out_.fail()) {
     std::error_code ignore;
@@ -103,10 +141,14 @@ SectionFileReader::SectionFileReader(std::string path, std::uint64_t expected_co
                         std::to_string(in_.gcount()) + " bytes, header needs " +
                         std::to_string(kSectHeaderSize));
   }
-  for (std::size_t i = 0; i < 8; ++i) {
-    if (raw[i] != static_cast<std::uint8_t>(kSectMagic[i])) {
-      throw SnapshotError("'" + path_ + "' is not a BAAT sectioned snapshot (bad magic)");
-    }
+  if (std::equal(raw.begin(), raw.begin() + 8, std::begin(kRetiredMagic))) {
+    throw SnapshotError("snapshot file '" + path_ +
+                        "' uses the retired flat BAATSNAP container; this build reads "
+                        "only sectioned (BAATSECT) snapshots — re-run from scratch or use "
+                        "a matching build");
+  }
+  if (!std::equal(raw.begin(), raw.begin() + 8, std::begin(kSectMagic))) {
+    throw SnapshotError("'" + path_ + "' is not a BAAT sectioned snapshot (bad magic)");
   }
   SnapshotReader reader(std::span<const std::uint8_t>(raw).subspan(8));
   header_.version = reader.read_u32();

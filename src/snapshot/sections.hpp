@@ -1,16 +1,10 @@
 #pragma once
 
-// Streamed sectioned snapshot container (DESIGN.md §5h).
-//
-// The flat "BAATSNAP" container (snapshot.hpp) serializes the whole sim
-// state through one contiguous payload buffer; that is fine for a 48-cell
-// cluster but a 100k-cell sharded datacenter would funnel hundreds of
-// megabytes through a single vector and re-CRC the lot on every
-// checkpoint. The "BAATSECT" container instead holds an ordered sequence
-// of independently CRC-protected sections — section 0 is the global
-// coordinator state, sections 1..N are one shard each — streamed to disk
-// as they are produced, so peak memory stays one shard's payload and a
-// corrupted shard is reported by index.
+// The snapshot container (DESIGN.md §5f): every checkpoint file — a day
+// loop's, a sweep point's, the flight recorder's cluster.snap — is one
+// "BAATSECT" file, an ordered sequence of independently CRC-protected
+// sections. A day-loop checkpoint holds section 0 (the loop state) and one
+// section per shard, so a corrupted shard is reported by index.
 //
 // Layout (all little-endian, same scalar encoding as serialize.hpp):
 //   magic   "BAATSECT"                      8 bytes
@@ -22,10 +16,14 @@
 //     crc   u32 CRC-32 of the payload
 //     payload
 //
-// Writing goes through a tmp file + atomic rename exactly like
-// write_snapshot_file: a crash mid-checkpoint leaves the previous
-// checkpoint intact, never a half-written file.
+// Writing goes through `<path>.tmp` + atomic rename: a crash mid-checkpoint
+// leaves the previous checkpoint intact, never a half-written file. Small
+// files are assembled in memory and only hit the disk at commit, so the
+// tmp file exists for as short a window as possible; a file that outgrows
+// kSectionBufferBytes (one large datacenter shard) streams its sections to
+// the tmp file as they are appended, so peak memory stays one section.
 
+#include <cstddef>
 #include <cstdint>
 #include <fstream>
 #include <span>
@@ -38,6 +36,12 @@ namespace baat::snapshot {
 
 inline constexpr std::uint32_t kSectionFormatVersion = 1;
 
+/// A SectionFileWriter keeps appended sections in memory until commit, or
+/// until they pass this many bytes — then it creates the tmp file and
+/// streams. Sits well above a single-cluster checkpoint (a few MB) and well
+/// below one shard of a large datacenter (tens of MB).
+inline constexpr std::size_t kSectionBufferBytes = std::size_t{8} << 20;
+
 /// Parsed "BAATSECT" file header.
 struct SectionFileHeader {
   std::uint32_t version = 0;
@@ -45,21 +49,23 @@ struct SectionFileHeader {
   std::uint64_t section_count = 0;
 };
 
-/// Streams sections into `<path>.tmp`; commit() renames the tmp file over
-/// `path` once every declared section has been appended. If the writer is
-/// destroyed before commit() the tmp file is removed, so an exception
-/// mid-checkpoint cannot clobber the previous good checkpoint.
+/// Writes a sectioned file at `path`. Sections are buffered in memory (see
+/// kSectionBufferBytes); commit() writes whatever is buffered to
+/// `<path>.tmp` and renames it over `path` once every declared section has
+/// been appended. If the writer is destroyed before commit() no tmp file is
+/// left behind, so an exception mid-checkpoint cannot clobber the previous
+/// good checkpoint.
 class SectionFileWriter {
  public:
-  /// Opens the tmp file and writes the header. `section_count` is declared
-  /// up front so a truncated file is detectable without a trailer.
+  /// `section_count` is declared up front so a truncated file is
+  /// detectable without a trailer.
   SectionFileWriter(std::string path, std::uint64_t config_hash, std::uint64_t section_count);
   ~SectionFileWriter();
 
   SectionFileWriter(const SectionFileWriter&) = delete;
   SectionFileWriter& operator=(const SectionFileWriter&) = delete;
 
-  /// Appends one section (size + CRC + payload) and flushes it to the OS.
+  /// Appends one section (size + CRC + payload).
   void append(std::span<const std::uint8_t> payload);
 
   /// Validates that exactly `section_count` sections were appended, then
@@ -67,13 +73,24 @@ class SectionFileWriter {
   void commit();
 
  private:
+  /// Creates the tmp file on first use and moves the buffered bytes to it.
+  void spill();
+  void write_out(std::span<const std::uint8_t> bytes);
+
   std::string path_;
   std::string tmp_;
   std::ofstream out_;
+  std::vector<std::uint8_t> pending_;  ///< encoded bytes not yet in the tmp file
   std::uint64_t declared_ = 0;
   std::uint64_t written_ = 0;
   bool committed_ = false;
 };
+
+/// The exact bytes SectionFileWriter commits for `sections`, assembled in
+/// memory — for artefacts that carry a snapshot inside another container
+/// (the flight recorder's cluster.snap).
+std::vector<std::uint8_t> section_file_bytes(std::uint64_t config_hash,
+                                             const std::vector<std::vector<std::uint8_t>>& sections);
 
 /// Reads a "BAATSECT" file section by section, CRC-checking each payload
 /// as it is pulled, so only one section's bytes are resident at a time.
@@ -81,7 +98,8 @@ class SectionFileReader {
  public:
   /// Opens the file and validates magic/version/config hash. Pass
   /// `expected_config_hash == 0` to skip the config check (used by
-  /// inspection tooling).
+  /// inspection tooling). A file in the retired flat "BAATSNAP" container
+  /// is refused with an error naming it.
   SectionFileReader(std::string path, std::uint64_t expected_config_hash);
 
   [[nodiscard]] const SectionFileHeader& header() const { return header_; }

@@ -12,6 +12,8 @@
 #include "fault/fault.hpp"
 #include "obs/obs.hpp"
 #include "sim/cli.hpp"
+#include "sim/cluster.hpp"
+#include "snapshot/sections.hpp"
 #include "util/sim_clock.hpp"
 
 namespace baat::sim {
@@ -71,8 +73,8 @@ TEST(Blackbox, NanPoisonedRunAbortsWithExitThreeAndShipsABundle) {
        {"MANIFEST.json", "health.txt", "trace.jsonl", "metrics.json", "ledger.csv"}) {
     EXPECT_TRUE(fs::exists(bundle / name)) << name;
   }
-  // No cluster.snap presence assertion: the run dies mid-day, where a
-  // snapshot is not well-defined and dump_blackbox skips it by design.
+  // cluster.snap is checked by DayStartDeathShipsASectionedClusterSnapshot;
+  // a run dying mid-day would ship the bundle without one.
 
   const std::string manifest = slurp(bundle / "MANIFEST.json");
   EXPECT_NE(manifest.find("\"day\": 0"), std::string::npos) << manifest;
@@ -89,6 +91,26 @@ TEST(Blackbox, NanPoisonedRunAbortsWithExitThreeAndShipsABundle) {
   EXPECT_EQ(ledger.substr(0, ledger.find(',')), "scope");
   EXPECT_NE(ledger.find("fade_corrosion"), std::string::npos);
   EXPECT_NE(ledger.find("\ntotal,cluster,"), std::string::npos);
+  reset_globals();
+}
+
+TEST(Blackbox, DayStartDeathShipsASectionedClusterSnapshot) {
+  // The poison trips the watchdog at day 0's start, before any VM exists,
+  // so the bundle carries the cluster state: a one-section BAATSECT file
+  // that restores into a cluster of the same scenario.
+  ScratchDir dir{"snapshot"};
+  reset_globals();
+  const CliOptions o = poisoned_run(dir);
+  EXPECT_EQ(run_cli(o), 3);
+  snapshot::SectionFileReader in((dir.path() / "blackbox-0" / "cluster.snap").string(), 0);
+  EXPECT_NE(in.header().config_hash, 0u);
+  ASSERT_EQ(in.header().section_count, 1u);
+  const std::vector<std::uint8_t> payload = in.read_section();
+  in.finish();
+  snapshot::SnapshotReader r{payload};
+  Cluster restored{scenario_from_cli(o)};
+  restored.load_state(r);
+  EXPECT_TRUE(r.exhausted());
   reset_globals();
 }
 

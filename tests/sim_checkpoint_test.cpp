@@ -20,8 +20,9 @@
 #include "sim/experiment.hpp"
 #include "sim/multiday.hpp"
 #include "sim/sweep.hpp"
-#include "snapshot/snapshot.hpp"
+#include "snapshot/sections.hpp"
 #include "util/require.hpp"
+#include "util/rng.hpp"
 #include "util/sim_clock.hpp"
 
 namespace baat::sim {
@@ -287,21 +288,83 @@ TEST(CheckpointResume, TrailingBytesInPayloadRefused) {
   opts.checkpoint.dir = dir.path();
   run_and_sign(cfg, opts);
 
-  // Re-commit the snapshot with one garbage byte appended. The container
-  // (size + CRC) is self-consistent, so only the state loader's exhaustion
-  // check can catch it.
-  std::vector<std::uint8_t> payload = snapshot::read_snapshot_file(dir.snap(2), 0);
-  payload.push_back(0xEE);
-  snapshot::write_snapshot_file(dir.snap(2), 0, payload);
+  std::vector<std::vector<std::uint8_t>> sections;
+  {
+    snapshot::SectionFileReader in(dir.snap(2), 0);
+    ASSERT_EQ(in.header().section_count, 2u);
+    for (int i = 0; i < 2; ++i) sections.push_back(in.read_section());
+    in.finish();
+  }
+  // Re-commit the snapshot with one garbage byte appended to the loop
+  // section, then to the shard section. The container (size + CRC) is
+  // self-consistent, so only the state loaders' exhaustion checks can
+  // catch it.
+  for (std::size_t tampered = 0; tampered < sections.size(); ++tampered) {
+    SCOPED_TRACE("tampered section " + std::to_string(tampered));
+    {
+      snapshot::SectionFileWriter out(dir.snap(2), 0, sections.size());
+      for (std::size_t i = 0; i < sections.size(); ++i) {
+        std::vector<std::uint8_t> payload = sections[i];
+        if (i == tampered) payload.push_back(0xEE);
+        out.append(payload);
+      }
+      out.commit();
+    }
+    MultiDayOptions resume_opts = day_options(4);
+    resume_opts.checkpoint.resume_path = dir.snap(2);
+    Cluster cluster{cfg};
+    try {
+      run_multi_day(cluster, resume_opts);
+      FAIL() << "trailing payload bytes must be refused";
+    } catch (const snapshot::SnapshotError& e) {
+      EXPECT_NE(std::string(e.what()).find("trailing"), std::string::npos) << e.what();
+    }
+  }
+}
 
+TEST(CheckpointResume, OneShardCheckpointHoldsEachStateOnce) {
+  // A single-cluster checkpoint is a two-section file: the loop state
+  // (which carries the caller's registry and trace ring) and one shard
+  // section holding exactly the solar-day stream and the cluster — no
+  // second registry.
+  const ScenarioConfig cfg = small_scenario();
+  CheckpointDir dir{"layout"};
+  MultiDayOptions opts = day_options(4);
+  opts.checkpoint.every_days = 2;
+  opts.checkpoint.dir = dir.path();
+  run_and_sign(cfg, opts);
+
+  snapshot::SectionFileReader in(dir.snap(2), 0);
+  ASSERT_EQ(in.header().section_count, 2u);
+  (void)in.read_section();
+  const std::vector<std::uint8_t> shard = in.read_section();
+  in.finish();
+  snapshot::SnapshotReader r{shard};
+  util::Rng solar = util::Rng::stream(cfg.seed, "solar-days");
+  solar.load_state(r);
+  Cluster restored{cfg};
+  restored.load_state(r);
+  EXPECT_TRUE(r.exhausted()) << r.remaining() << " bytes past the cluster state";
+  EXPECT_EQ(restored.days_run(), 2);
+}
+
+TEST(CheckpointResume, RetiredFlatSnapshotRefusedByName) {
+  CheckpointDir dir{"retired"};
+  const std::string path = dir.snap(2);
+  {
+    std::ofstream out{path, std::ios::binary};
+    out << "BAATSNAP" << std::string(56, '\0');
+  }
   MultiDayOptions resume_opts = day_options(4);
-  resume_opts.checkpoint.resume_path = dir.snap(2);
-  Cluster cluster{cfg};
+  resume_opts.checkpoint.resume_path = path;
+  Cluster cluster{small_scenario()};
   try {
     run_multi_day(cluster, resume_opts);
-    FAIL() << "trailing payload bytes must be refused";
+    FAIL() << "a BAATSNAP checkpoint must be refused";
   } catch (const snapshot::SnapshotError& e) {
-    EXPECT_NE(std::string(e.what()).find("trailing"), std::string::npos);
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find(path), std::string::npos) << msg;
+    EXPECT_NE(msg.find("BAATSNAP"), std::string::npos) << msg;
   }
 }
 
@@ -441,6 +504,30 @@ TEST(SweepCheckpoint, CorruptCheckpointDowngradesToRerun) {
   const auto third = run_sweep({value_job("point-0", 3.0, &value, &runs)}, opts);
   EXPECT_EQ(runs.load(), 2);  // healed: restores again
   EXPECT_TRUE(third[0].resumed);
+}
+
+TEST(SweepCheckpoint, RetiredFlatPointFileRerunsAndHeals) {
+  CheckpointDir dir{"sweep_retired"};
+  SweepOptions opts;
+  opts.jobs = 1;
+  opts.checkpoint_dir = dir.path();
+  {
+    std::ofstream out{dir.path() + "/point-0.ckpt", std::ios::binary};
+    out << "BAATSNAP" << std::string(72, '\0');
+  }
+  double value = 0.0;
+  std::atomic<int> runs{0};
+  const auto rerun = run_sweep({value_job("point-0", 3.0, &value, &runs)}, opts);
+  EXPECT_EQ(runs.load(), 1);
+  EXPECT_TRUE(rerun[0].ok);
+  EXPECT_FALSE(rerun[0].resumed);
+  EXPECT_DOUBLE_EQ(value, 10.0);
+
+  value = 0.0;
+  const auto healed = run_sweep({value_job("point-0", 3.0, &value, &runs)}, opts);
+  EXPECT_EQ(runs.load(), 1);
+  EXPECT_TRUE(healed[0].resumed);
+  EXPECT_DOUBLE_EQ(value, 10.0);
 }
 
 TEST(SweepCheckpoint, HashMismatchedCheckpointReruns) {

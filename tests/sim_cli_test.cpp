@@ -308,7 +308,7 @@ TEST(Cli, ParsesShardAndDemandFlags) {
   EXPECT_EQ(o.shard_workers, 4u);
   EXPECT_EQ(o.demand.users, 2000000u);
   EXPECT_DOUBLE_EQ(o.demand.region_spread_hours, 3.0);
-  // Defaults keep the classic engine.
+  // Defaults: one shard, the fixed daily job plan.
   const CliOptions d = parse_cli({});
   EXPECT_EQ(d.shards, 0u);
   EXPECT_TRUE(d.demand.empty());
@@ -378,6 +378,45 @@ TEST(Cli, EndToEndShardedRunMatchesRepeatRun) {
   EXPECT_NE(sa.str().find("day,weather"), std::string::npos);
   std::remove(o.csv_path.c_str());
   std::remove(o2.csv_path.c_str());
+}
+
+std::string slurp(const std::string& path) {
+  std::ifstream in{path};
+  std::stringstream buf;
+  buf << in.rdbuf();
+  return buf.str();
+}
+
+TEST(Cli, ReportCarriesShardCountersAndExportsThemOnce) {
+  // Regression: with --shards 1 the report was written before the shard
+  // registries were merged into the caller's, so it lost every counter and
+  // hot-path profile row the plain run shows. Every single run now takes
+  // that path; the merge happens once, before the report and the export.
+  for (const std::size_t shards : {std::size_t{0}, std::size_t{1}}) {
+    SCOPED_TRACE("shards " + std::to_string(shards));
+    CliOptions o;
+    o.days = 4;
+    o.nodes = 3;
+    o.seed = 7;
+    o.shards = shards;
+    o.blackbox = false;
+    o.report_path = testing::TempDir() + "cli_report_counters.md";
+    o.metrics_path = testing::TempDir() + "cli_report_counters.json";
+    ASSERT_EQ(run_cli(o), 0);
+    const std::string report = slurp(o.report_path);
+    for (const char* row : {"| `policy.control_ticks` |", "| `router.ticks` |",
+                            "| `sim.jobs_deployed` |", "| `sim.days_run` | 4 |",
+                            "| `profile.battery_step_ns` |",
+                            "| `profile.cluster_run_day_ns` |",
+                            "| `profile.router_route_ns` |"}) {
+      EXPECT_NE(report.find(row), std::string::npos) << row << "\n" << report;
+    }
+    // Combining --report with --metrics-out must not fold the shard
+    // registries in twice.
+    EXPECT_NE(slurp(o.metrics_path).find("\"sim.days_run\": 4,"), std::string::npos);
+    std::remove(o.report_path.c_str());
+    std::remove(o.metrics_path.c_str());
+  }
 }
 
 }  // namespace

@@ -2,11 +2,13 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <filesystem>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "fault/fault.hpp"
 #include "obs/obs.hpp"
 #include "sim/multiday.hpp"
 #include "sim/scenario.hpp"
@@ -201,6 +203,55 @@ TEST(Sweep, SimulationExportsByteIdenticalAcrossWorkerCounts) {
   EXPECT_EQ(serial.metrics_csv, parallel.metrics_csv);
   EXPECT_EQ(serial.trace_jsonl, parallel.trace_jsonl);
   EXPECT_GT(serial.trace_jsonl.size(), 0u);
+}
+
+TEST(SweepBlackbox, ConcurrentDayLoopsKeepTheFlightRecorderOn) {
+  // Four day loops on four sweep workers, each registering its crash dump
+  // hook; two of them trip the watchdog and ship bundles while the others
+  // run. Registration must be race-free (the TSan job runs this), and the
+  // results must not depend on the worker count.
+  namespace fs = std::filesystem;
+  const fs::path root = fs::temp_directory_path() / "baat_sweep_blackbox";
+  const auto run_points = [&root](std::size_t jobs) {
+    fs::remove_all(root);
+    obs::global_registry().reset();
+    std::vector<double> healths(4, 0.0);
+    std::vector<SweepJob> list;
+    for (std::size_t i = 0; i < 4; ++i) {
+      SweepJob job;
+      job.name = "point-" + std::to_string(i);
+      job.work = [&healths, &root, i] {
+        ScenarioConfig cfg = prototype_scenario();
+        cfg.nodes = 2;
+        cfg.seed = 7;
+        if (i % 2 == 1) cfg.faults = fault::parse_fault_plan("nan_poison:bank=1");
+        Cluster cluster{cfg};
+        MultiDayOptions md;
+        md.days = 3;
+        md.probe_every_days = 0;
+        md.keep_days = false;
+        md.blackbox = true;
+        md.blackbox_dir = (root / ("point-" + std::to_string(i))).string();
+        healths[i] = run_multi_day(cluster, md).min_health_end;
+      };
+      list.push_back(std::move(job));
+    }
+    SweepOptions opts;
+    opts.jobs = jobs;
+    const std::vector<SweepResult> results = run_sweep(std::move(list), opts);
+    for (std::size_t i = 0; i < 4; ++i) {
+      EXPECT_EQ(results[i].ok, i % 2 == 0) << results[i].error;
+      EXPECT_EQ(fs::exists(root / ("point-" + std::to_string(i)) / "blackbox-0" /
+                           "MANIFEST.json"),
+                i % 2 == 1);
+    }
+    fs::remove_all(root);
+    util::set_sim_time(-1.0);
+    return healths;
+  };
+  const std::vector<double> serial = run_points(1);
+  EXPECT_EQ(serial, run_points(4));
+  EXPECT_GT(serial[0], 0.0);
 }
 
 TEST(WorkerPool, RunsEveryIndexExactlyOnce) {

@@ -10,7 +10,6 @@
 
 #include "snapshot/sections.hpp"
 #include "snapshot/serialize.hpp"
-#include "snapshot/snapshot.hpp"
 
 namespace baat::snapshot {
 namespace {
@@ -122,169 +121,7 @@ TEST(Serialize, Crc32KnownAnswer) {
   EXPECT_EQ(crc32(std::vector<std::uint8_t>{}), 0u);
 }
 
-TEST(SnapshotFile, RoundTripAndHeader) {
-  const std::string path = temp_path("roundtrip.snap");
-  SnapshotWriter w;
-  w.write_u64(1234);
-  w.write_f64(0.25);
-  write_snapshot_file(path, 0xABCDEF1234567890ull, w.bytes());
-
-  // The atomic-commit tmp file must not linger after a successful write.
-  EXPECT_FALSE(fs::exists(path + ".tmp"));
-
-  const SnapshotHeader h = read_snapshot_header(path);
-  EXPECT_EQ(h.version, kFormatVersion);
-  EXPECT_EQ(h.config_hash, 0xABCDEF1234567890ull);
-  EXPECT_EQ(h.payload_size, w.size());
-
-  const std::vector<std::uint8_t> payload =
-      read_snapshot_file(path, 0xABCDEF1234567890ull);
-  EXPECT_EQ(payload, w.bytes());
-  SnapshotReader r{payload};
-  EXPECT_EQ(r.read_u64(), 1234u);
-  EXPECT_DOUBLE_EQ(r.read_f64(), 0.25);
-  fs::remove(path);
-}
-
-TEST(SnapshotFile, ZeroExpectedHashSkipsTheCheck) {
-  const std::string path = temp_path("anyhash.snap");
-  SnapshotWriter w;
-  w.write_u8(9);
-  write_snapshot_file(path, 777, w.bytes());
-  EXPECT_EQ(read_snapshot_file(path, 0), w.bytes());
-  fs::remove(path);
-}
-
-TEST(SnapshotFile, ConfigHashMismatchRefused) {
-  const std::string path = temp_path("hashmismatch.snap");
-  SnapshotWriter w;
-  w.write_u8(9);
-  write_snapshot_file(path, 111, w.bytes());
-  try {
-    read_snapshot_file(path, 222);
-    FAIL() << "mismatched config hash must be refused";
-  } catch (const SnapshotError& e) {
-    const std::string msg = e.what();
-    EXPECT_NE(msg.find(path), std::string::npos) << msg;
-    EXPECT_NE(msg.find("config hash"), std::string::npos) << msg;
-  }
-  fs::remove(path);
-}
-
-TEST(SnapshotFile, MissingFileIsReadableError) {
-  try {
-    read_snapshot_file(temp_path("does_not_exist.snap"), 0);
-    FAIL() << "missing file must throw";
-  } catch (const SnapshotError& e) {
-    EXPECT_NE(std::string(e.what()).find("cannot open"), std::string::npos);
-  }
-}
-
-TEST(SnapshotFile, BadMagicRefused) {
-  const std::string path = temp_path("notasnapshot.snap");
-  put_bytes(path, std::vector<std::uint8_t>(64, 0x55));
-  try {
-    read_snapshot_file(path, 0);
-    FAIL() << "non-snapshot bytes must be refused";
-  } catch (const SnapshotError& e) {
-    EXPECT_NE(std::string(e.what()).find("bad magic"), std::string::npos);
-  }
-  fs::remove(path);
-}
-
-TEST(SnapshotFile, TruncationAtEveryPrefixIsAReadableError) {
-  // Chop a valid snapshot at every length from 0 to full-minus-one byte;
-  // each prefix must fail with SnapshotError, never read out of bounds
-  // (this test earns its keep under ASan).
-  const std::string path = temp_path("trunc_src.snap");
-  SnapshotWriter w;
-  w.write_u64(42);
-  w.write_string("payload");
-  write_snapshot_file(path, 5, w.bytes());
-  const std::vector<std::uint8_t> full = file_bytes(path);
-  ASSERT_GT(full.size(), 32u);
-
-  const std::string cut = temp_path("trunc_cut.snap");
-  for (std::size_t n = 0; n < full.size(); ++n) {
-    put_bytes(cut, std::vector<std::uint8_t>(full.begin(), full.begin() + n));
-    EXPECT_THROW(read_snapshot_file(cut, 5), SnapshotError) << "prefix length " << n;
-  }
-  fs::remove(path);
-  fs::remove(cut);
-}
-
-TEST(SnapshotFile, TrailingPaddingRefused) {
-  const std::string path = temp_path("padded.snap");
-  SnapshotWriter w;
-  w.write_u64(42);
-  write_snapshot_file(path, 0, w.bytes());
-  std::vector<std::uint8_t> bytes = file_bytes(path);
-  bytes.push_back(0x00);
-  put_bytes(path, bytes);
-  EXPECT_THROW(read_snapshot_file(path, 0), SnapshotError);
-  fs::remove(path);
-}
-
-TEST(SnapshotFile, PayloadCorruptionCaughtByCrc) {
-  const std::string path = temp_path("corrupt.snap");
-  SnapshotWriter w;
-  for (int i = 0; i < 16; ++i) w.write_f64(i * 1.25);
-  write_snapshot_file(path, 0, w.bytes());
-  std::vector<std::uint8_t> bytes = file_bytes(path);
-  bytes[40] ^= 0x01;  // single bit flip inside the payload
-  put_bytes(path, bytes);
-  try {
-    read_snapshot_file(path, 0);
-    FAIL() << "flipped payload bit must be caught";
-  } catch (const SnapshotError& e) {
-    EXPECT_NE(std::string(e.what()).find("CRC"), std::string::npos);
-  }
-  fs::remove(path);
-}
-
-TEST(SnapshotFile, FutureFormatVersionRefused) {
-  const std::string path = temp_path("version.snap");
-  SnapshotWriter w;
-  w.write_u8(1);
-  write_snapshot_file(path, 0, w.bytes());
-  std::vector<std::uint8_t> bytes = file_bytes(path);
-  bytes[8] = static_cast<std::uint8_t>(kFormatVersion + 1);  // version is not CRC'd
-  put_bytes(path, bytes);
-  try {
-    read_snapshot_file(path, 0);
-    FAIL() << "future format version must be refused";
-  } catch (const SnapshotError& e) {
-    EXPECT_NE(std::string(e.what()).find("format version"), std::string::npos);
-  }
-  fs::remove(path);
-}
-
-TEST(SnapshotFile, OverwriteIsAtomicReplace) {
-  // Writing over an existing snapshot replaces it wholesale: afterwards the
-  // file holds exactly the new payload and no tmp residue.
-  const std::string path = temp_path("overwrite.snap");
-  SnapshotWriter w1;
-  w1.write_u64(1);
-  write_snapshot_file(path, 10, w1.bytes());
-  SnapshotWriter w2;
-  w2.write_u64(2);
-  w2.write_u64(3);
-  write_snapshot_file(path, 20, w2.bytes());
-  EXPECT_FALSE(fs::exists(path + ".tmp"));
-  EXPECT_EQ(read_snapshot_header(path).config_hash, 20u);
-  EXPECT_EQ(read_snapshot_file(path, 20), w2.bytes());
-  fs::remove(path);
-}
-
-TEST(SnapshotFile, UnwritableDestinationIsReadableError) {
-  const std::string path =
-      temp_path("no_such_dir_for_snapshots") + "/nested/deep/file.snap";
-  SnapshotWriter w;
-  w.write_u8(1);
-  EXPECT_THROW(write_snapshot_file(path, 0, w.bytes()), SnapshotError);
-}
-
-// ---- sectioned "BAATSECT" container (snapshot/sections.hpp) -------------
+// ---- the "BAATSECT" container (snapshot/sections.hpp) ---------------------
 
 std::vector<std::uint8_t> payload_of(std::initializer_list<int> bytes) {
   std::vector<std::uint8_t> out;
@@ -303,6 +140,8 @@ void write_three_sections(const std::string& path, std::uint64_t hash) {
 TEST(SectionFile, RoundTripsSectionsInOrder) {
   const std::string path = temp_path("sect_roundtrip.snap");
   write_three_sections(path, 0xFEED);
+  // The atomic-commit tmp file must not linger after a successful write.
+  EXPECT_FALSE(fs::exists(path + ".tmp"));
   SectionFileReader r(path, 0xFEED);
   EXPECT_EQ(r.header().version, kSectionFormatVersion);
   EXPECT_EQ(r.header().config_hash, 0xFEEDu);
@@ -342,7 +181,14 @@ TEST(SectionFile, AbandonedWriterPreservesThePreviousFile) {
 TEST(SectionFile, ConfigHashMismatchRefusedAndZeroSkips) {
   const std::string path = temp_path("sect_hash.snap");
   write_three_sections(path, 1234);
-  EXPECT_THROW(SectionFileReader(path, 999), SnapshotError);
+  try {
+    SectionFileReader r(path, 999);
+    FAIL() << "mismatched config hash must be refused";
+  } catch (const SnapshotError& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find(path), std::string::npos) << msg;
+    EXPECT_NE(msg.find("config hash"), std::string::npos) << msg;
+  }
   EXPECT_NO_THROW(SectionFileReader(path, 0));
   fs::remove(path);
 }
@@ -361,6 +207,7 @@ TEST(SectionFile, PayloadCorruptionNamesTheSectionIndex) {
     FAIL() << "expected SnapshotError";
   } catch (const SnapshotError& e) {
     EXPECT_NE(std::string(e.what()).find("section 2"), std::string::npos);
+    EXPECT_NE(std::string(e.what()).find("CRC"), std::string::npos);
   }
   fs::remove(path);
 }
@@ -431,17 +278,135 @@ TEST(SectionFile, CorruptedSizePrefixCannotDriveHugeAllocation) {
 }
 
 TEST(SectionFile, BadMagicAndVersionRefused) {
+  // Every refusal names the file and the reason.
   const std::string path = temp_path("sect_magic.snap");
   write_three_sections(path, 7);
-  std::vector<std::uint8_t> bytes = file_bytes(path);
-  bytes[0] = 'X';
+  const std::vector<std::uint8_t> good = file_bytes(path);
+  struct Case {
+    const char* label;
+    std::size_t offset;  // byte to overwrite; SIZE_MAX = delete the file
+    std::uint8_t value;
+    const char* needle;
+  };
+  const Case cases[] = {
+      {"bad magic", 0, 'X', "bad magic"},
+      {"garbage version", 8, 0xEE, "format version"},
+      {"future version", 8, static_cast<std::uint8_t>(kSectionFormatVersion + 1),
+       "format version"},
+      {"missing file", SIZE_MAX, 0, "cannot open"},
+  };
+  for (const Case& c : cases) {
+    std::vector<std::uint8_t> bytes = good;
+    if (c.offset == SIZE_MAX) {
+      fs::remove(path);
+    } else {
+      bytes[c.offset] = c.value;
+      put_bytes(path, bytes);
+    }
+    try {
+      SectionFileReader r(path, 7);
+      ADD_FAILURE() << c.label << " was accepted";
+    } catch (const SnapshotError& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find(path), std::string::npos) << c.label << ": " << msg;
+      EXPECT_NE(msg.find(c.needle), std::string::npos) << c.label << ": " << msg;
+    }
+  }
+  fs::remove(path);
+}
+
+TEST(SectionFile, RetiredFlatContainerRefusedByName) {
+  // A checkpoint from before the single container ("BAATSNAP" header) is
+  // refused with an error that says what it is, not just "bad magic".
+  const std::string path = temp_path("retired.snap");
+  std::vector<std::uint8_t> bytes = {'B', 'A', 'A', 'T', 'S', 'N', 'A', 'P'};
+  bytes.resize(64, 0);
   put_bytes(path, bytes);
-  EXPECT_THROW(SectionFileReader(path, 7), SnapshotError);
-  bytes = file_bytes(path);
-  bytes[0] = 'B';
-  bytes[8] = 0xEE;  // version low byte
-  put_bytes(path, bytes);
-  EXPECT_THROW(SectionFileReader(path, 7), SnapshotError);
+  try {
+    SectionFileReader r(path, 0);
+    FAIL() << "a BAATSNAP file must be refused";
+  } catch (const SnapshotError& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find(path), std::string::npos) << msg;
+    EXPECT_NE(msg.find("retired flat BAATSNAP container"), std::string::npos) << msg;
+  }
+  fs::remove(path);
+}
+
+TEST(SectionFile, OverwriteIsAtomicReplace) {
+  // Writing over an existing file replaces it wholesale: afterwards the file
+  // holds exactly the new sections and no tmp residue.
+  const std::string path = temp_path("sect_overwrite.snap");
+  write_three_sections(path, 10);
+  {
+    SectionFileWriter w(path, 20, 1);
+    w.append(payload_of({4, 5}));
+    w.commit();
+  }
+  EXPECT_FALSE(fs::exists(path + ".tmp"));
+  SectionFileReader r(path, 20);
+  EXPECT_EQ(r.header().section_count, 1u);
+  EXPECT_EQ(r.read_section(), payload_of({4, 5}));
+  r.finish();
+  fs::remove(path);
+}
+
+TEST(SectionFile, UnwritableDestinationIsReadableError) {
+  const std::string path =
+      temp_path("no_such_dir_for_snapshots") + "/nested/deep/file.snap";
+  SectionFileWriter w(path, 0, 1);
+  w.append(payload_of({1}));
+  try {
+    w.commit();
+    FAIL() << "an unwritable destination must throw";
+  } catch (const SnapshotError& e) {
+    EXPECT_NE(std::string(e.what()).find(path + ".tmp"), std::string::npos) << e.what();
+  }
+}
+
+TEST(SectionFile, SmallFilesTouchTheDiskOnlyAtCommit) {
+  // The commit window — tmp file created to rename — must not include
+  // encoding: a file that fits the buffer creates its tmp file in commit().
+  const std::string path = temp_path("sect_buffered.snap");
+  SectionFileWriter w(path, 3, 2);
+  w.append(payload_of({1, 2}));
+  w.append(std::vector<std::uint8_t>(1000, 7));
+  EXPECT_FALSE(fs::exists(path + ".tmp"));
+  w.commit();
+  EXPECT_TRUE(fs::exists(path));
+  EXPECT_FALSE(fs::exists(path + ".tmp"));
+  fs::remove(path);
+}
+
+TEST(SectionFile, LargeSectionsStreamAndRoundTrip) {
+  // Past kSectionBufferBytes the writer streams instead of buffering, so a
+  // large datacenter shard is never copied into a second buffer.
+  const std::string path = temp_path("sect_streamed.snap");
+  std::vector<std::uint8_t> big(kSectionBufferBytes + 1);
+  for (std::size_t i = 0; i < big.size(); ++i) big[i] = static_cast<std::uint8_t>(i * 31);
+  {
+    SectionFileWriter w(path, 9, 3);
+    w.append(payload_of({1}));
+    w.append(big);
+    EXPECT_TRUE(fs::exists(path + ".tmp"));
+    w.append(payload_of({2, 3}));
+    w.commit();
+  }
+  EXPECT_FALSE(fs::exists(path + ".tmp"));
+  SectionFileReader r(path, 9);
+  EXPECT_EQ(r.read_section(), payload_of({1}));
+  EXPECT_EQ(r.read_section(), big);
+  EXPECT_EQ(r.read_section(), payload_of({2, 3}));
+  r.finish();
+  fs::remove(path);
+}
+
+TEST(SectionFile, InMemoryImageMatchesTheCommittedFile) {
+  const std::string path = temp_path("sect_image.snap");
+  write_three_sections(path, 0xFEED);
+  EXPECT_EQ(section_file_bytes(0xFEED, {payload_of({1, 2, 3}), payload_of({}),
+                                        payload_of({9, 8, 7, 6})}),
+            file_bytes(path));
   fs::remove(path);
 }
 

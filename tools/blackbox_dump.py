@@ -10,7 +10,8 @@ fatal signal. This tool renders one readably:
   metrics.json    counter/gauge summary (top rows)
   ledger.csv      per-mechanism aging attribution at death
   trace.jsonl     the last events before death (tail)
-  cluster.snap    snapshot container header (magic, version, CRC check)
+  cluster.snap    sectioned snapshot (magic, version, section count and
+                  every section's CRC checked)
 
 Every malformed-bundle path exits with a one-line diagnosis (exit 2), never
 a traceback. `--self-test` builds a synthetic bundle in a temp directory,
@@ -29,12 +30,18 @@ import struct
 import sys
 import zlib
 
-SNAP_MAGIC = b"BAATSNAP"
-SNAP_HEADER = struct.Struct("<8sIQQI")  # magic, version, config hash, size, crc
+SNAP_MAGIC = b"BAATSECT"
+SNAP_VERSION = 1
+SNAP_HEADER = struct.Struct("<8sIQQ")  # magic, version, config hash, sections
+SECTION_PREFIX = struct.Struct("<QI")  # payload size, crc
+
+
+class BundleError(Exception):
+    """A malformed bundle: reported as one line, exit status 2."""
 
 
 def fail(msg):
-    sys.exit(f"blackbox_dump: {msg}")
+    raise BundleError(msg)
 
 
 def read_text(bundle, name, required=True):
@@ -60,8 +67,17 @@ def load_manifest(bundle):
     return doc
 
 
+def encode_snap(config_hash, sections):
+    """The bytes the simulator's section writer produces for `sections`."""
+    out = [SNAP_HEADER.pack(SNAP_MAGIC, SNAP_VERSION, config_hash, len(sections))]
+    for payload in sections:
+        out.append(SECTION_PREFIX.pack(len(payload), zlib.crc32(payload) & 0xFFFFFFFF))
+        out.append(payload)
+    return b"".join(out)
+
+
 def snap_header(bundle):
-    """Parse and verify the cluster.snap container header; None if absent
+    """Parse and verify the cluster.snap sectioned snapshot; None if absent
     (mid-day deaths ship the bundle without a snapshot)."""
     path = os.path.join(bundle, "cluster.snap")
     if not os.path.exists(path):
@@ -74,16 +90,32 @@ def snap_header(bundle):
     if len(raw) < SNAP_HEADER.size:
         fail(f"{path} is truncated: {len(raw)} bytes, header needs "
              f"{SNAP_HEADER.size}")
-    magic, version, config_hash, size, crc = SNAP_HEADER.unpack_from(raw)
+    magic, version, config_hash, count = SNAP_HEADER.unpack_from(raw)
+    if magic == b"BAATSNAP":
+        fail(f"{path} uses the retired flat BAATSNAP container")
     if magic != SNAP_MAGIC:
-        fail(f"{path} is not a BAAT snapshot (bad magic)")
-    payload = raw[SNAP_HEADER.size:]
-    if len(payload) != size:
-        fail(f"{path} is truncated or padded: header declares {size} payload "
-             f"bytes but the file holds {len(payload)}")
-    if zlib.crc32(payload) & 0xFFFFFFFF != crc:
-        fail(f"{path} is corrupted: payload CRC mismatch")
-    return {"version": version, "config_hash": config_hash, "payload_bytes": size}
+        fail(f"{path} is not a BAAT sectioned snapshot (bad magic)")
+    if version != SNAP_VERSION:
+        fail(f"{path} has format version {version}; this tool reads "
+             f"version {SNAP_VERSION}")
+    offset = SNAP_HEADER.size
+    sizes = []
+    for i in range(count):
+        if len(raw) - offset < SECTION_PREFIX.size:
+            fail(f"{path} is truncated in section {i} header")
+        size, crc = SECTION_PREFIX.unpack_from(raw, offset)
+        offset += SECTION_PREFIX.size
+        payload = raw[offset:offset + size]
+        if len(payload) != size:
+            fail(f"{path} is truncated: section {i} declares {size} bytes but "
+                 "the file ends early")
+        if zlib.crc32(payload) & 0xFFFFFFFF != crc:
+            fail(f"{path} is corrupted: section {i} CRC mismatch")
+        offset += size
+        sizes.append(size)
+    if offset != len(raw):
+        fail(f"{path} has {len(raw) - offset} trailing bytes after the last section")
+    return {"version": version, "config_hash": config_hash, "section_bytes": sizes}
 
 
 def render(bundle, trace_tail, metrics_rows, out=sys.stdout):
@@ -154,9 +186,10 @@ def render(bundle, trace_tail, metrics_rows, out=sys.stdout):
         p("  absent (the run died mid-day; snapshots only exist at day "
           "boundaries)\n")
     else:
+        sizes = snap["section_bytes"]
         p(f"  format v{snap['version']}, config hash "
-          f"{snap['config_hash']:016x}, payload {snap['payload_bytes']} bytes, "
-          "CRC OK\n")
+          f"{snap['config_hash']:016x}, {len(sizes)} section(s) of "
+          f"{', '.join(str(n) for n in sizes)} bytes, CRC OK\n")
     return manifest
 
 
@@ -167,10 +200,8 @@ def self_test():
     def expect_exit(label, fn):
         try:
             fn()
-        except SystemExit as e:
-            msg = str(e.code)
-            assert "Traceback" not in msg, label
-            return msg
+        except BundleError as e:
+            return str(e)
         raise AssertionError(f"{label}: expected a readable failure, got none")
 
     with tempfile.TemporaryDirectory() as tmp:
@@ -195,11 +226,15 @@ def self_test():
         put("trace.jsonl", json.dumps({
             "ts": 259200.0, "kind": "health", "node": 1, "value": "nan",
             "detail": "fatal:finite_state"}) + "\n")
-        payload = b"\x01\x02\x03\x04"
-        with open(os.path.join(bundle, "cluster.snap"), "wb") as f:
-            f.write(SNAP_HEADER.pack(SNAP_MAGIC, 2, 0xDEADBEEF, len(payload),
-                                     zlib.crc32(payload) & 0xFFFFFFFF))
-            f.write(payload)
+        # The simulator's shape: one section holding the cluster state.
+        snap = encode_snap(0xDEADBEEF, [b"\x01\x02\x03\x04"])
+        snap_path = os.path.join(bundle, "cluster.snap")
+
+        def put_snap(raw):
+            with open(snap_path, "wb") as f:
+                f.write(raw)
+
+        put_snap(snap)
 
         # Happy path: renders and reports the manifest back.
         out = io.StringIO()
@@ -207,15 +242,26 @@ def self_test():
         assert manifest["day"] == 3, manifest
         text = out.getvalue()
         for needle in ("watchdog: nan", "health score 1000", "fade_corrosion",
-                       "health.fatal", "format v2", "CRC OK"):
+                       "health.fatal", "format v1", "1 section(s) of 4 bytes",
+                       "CRC OK"):
             assert needle in text, f"rendered output lacks {needle!r}:\n{text}"
 
-        # Corrupt snapshot payload → CRC refusal, not a traceback.
-        with open(os.path.join(bundle, "cluster.snap"), "r+b") as f:
-            f.seek(SNAP_HEADER.size)
-            f.write(b"\xFF")
-        msg = expect_exit("corrupt snap", lambda: snap_header(bundle))
-        assert "CRC" in msg, msg
+        # Malformed snapshots → one-line refusals, not tracebacks.
+        payload_at = SNAP_HEADER.size + SECTION_PREFIX.size
+        for label, raw, needle in (
+                ("corrupt payload",
+                 snap[:payload_at] + b"\xFF" + snap[payload_at + 1:], "CRC"),
+                ("truncated", snap[:-1], "truncated"),
+                ("trailing bytes", snap + b"\x00", "trailing"),
+                ("bad magic", b"XXXXXXXX" + snap[8:], "bad magic"),
+                ("retired container", b"BAATSNAP" + snap[8:], "retired"),
+                ("future version",
+                 SNAP_HEADER.pack(SNAP_MAGIC, SNAP_VERSION + 1, 0, 1)
+                 + snap[SNAP_HEADER.size:], "format version")):
+            put_snap(raw)
+            msg = expect_exit(label, lambda: snap_header(bundle))
+            assert needle in msg, f"{label}: {msg}"
+        put_snap(snap)
 
         # Malformed manifest → readable refusal.
         put("MANIFEST.json", "{not json")
@@ -228,6 +274,15 @@ def self_test():
                           lambda: render(os.path.join(tmp, "nope"), 16, 16,
                                          io.StringIO()))
         assert "not a directory" in msg, msg
+
+        # From the command line a malformed bundle is one stderr line and
+        # exit status 2.
+        import subprocess
+        proc = subprocess.run([sys.executable, os.path.abspath(__file__),
+                               os.path.join(tmp, "nope")],
+                              capture_output=True, text=True, check=False)
+        assert proc.returncode == 2, proc
+        assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr, proc
 
     print("blackbox_dump: self-test OK")
 
@@ -248,7 +303,11 @@ def main():
         return
     if not args.bundle:
         ap.error("a bundle directory is required unless --self-test")
-    render(args.bundle, args.trace_tail, args.metrics_rows)
+    try:
+        render(args.bundle, args.trace_tail, args.metrics_rows)
+    except BundleError as e:
+        print(f"blackbox_dump: {e}", file=sys.stderr)
+        sys.exit(2)
 
 
 if __name__ == "__main__":
