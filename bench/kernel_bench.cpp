@@ -34,6 +34,7 @@
 #include <limits>
 #include <new>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "battery/battery.hpp"
@@ -280,6 +281,10 @@ void write_json(const std::string& path, double calib,
   char buf[256];
   out << "{\n";
   std::snprintf(buf, sizeof buf, "  \"calibration_ns\": %.0f,\n", calib);
+  out << buf;
+  // Host stamp: worker-scaling rows are only comparable on equal core counts.
+  std::snprintf(buf, sizeof buf, "  \"hardware_concurrency\": %u,\n",
+                std::thread::hardware_concurrency());
   out << buf;
   out << "  \"benches\": [\n";
   for (std::size_t i = 0; i < results.size(); ++i) {

@@ -216,10 +216,10 @@ StepResult FleetState::step_cell(std::size_t c, Amperes requested, Seconds dt) {
   // The energy-bucket tier has its own reduced tick in every math mode.
   if (kind_ == Chemistry::Bucket) return step_cell_bucket(c, requested, dt);
   // The simd tier routes even single-cell steps through the branchless
-  // lane kernel (width 1) so the router's per-cell active path and the
-  // batched step_all path stay bitwise consistent within the tier. The lane
-  // kernel is lead-acid physics; Li chemistries fall through to the scalar
-  // path (their Fast and Simd trajectories coincide).
+  // lane kernel (width 1) so per-cell steps (standalone units, the router's
+  // charge chain) and the batched paths stay bitwise consistent within the
+  // tier. The lane kernel is lead-acid physics; Li chemistries fall through
+  // to the scalar path (their Fast and Simd trajectories coincide).
   if (math_ == MathMode::Simd && kind_ == Chemistry::LeadAcid) {
     return step_cell_simd(c, requested, dt);
   }
@@ -630,9 +630,19 @@ __attribute__((flatten)) void FleetState::step_all_bucket(
   }
 }
 
-void FleetState::step_cells(std::span<const std::size_t> cells, Amperes requested,
-                            Seconds dt) {
-  for (const std::size_t c : cells) (void)step_cell(c, requested, dt);
+void FleetState::step_masked(std::span<const Amperes> requested,
+                              std::span<const std::uint8_t> skip, Seconds dt,
+                              std::span<StepResult> results) {
+  BAAT_REQUIRE(requested.size() == size() && skip.size() == size() &&
+                   results.size() == size(),
+               "step_masked span sizes must match the fleet size");
+  if (math_ == MathMode::Simd && kind_ == Chemistry::LeadAcid) {
+    step_masked_simd(requested, skip, dt, results);
+    return;
+  }
+  for (std::size_t c = 0; c < size(); ++c) {
+    if (skip[c] == 0) results[c] = step_cell(c, requested[c], dt);
+  }
 }
 
 // --- view support ------------------------------------------------------------

@@ -111,9 +111,15 @@ class FleetState {
   /// Step every cell with its own requested current.
   void step_all(std::span<const Amperes> requested, Seconds dt,
                 std::span<StepResult> results);
-  /// Step the listed cells with one common current (the router's batched
-  /// idle pass uses this with 0 A).
-  void step_cells(std::span<const std::size_t> cells, Amperes requested, Seconds dt);
+  /// Step every cell whose `skip` byte is 0 with its own requested current,
+  /// writing its result slot; skipped cells and their slots are untouched
+  /// (the router steps its charging cells itself and batches the rest).
+  /// Bitwise equal to step_cell on each unskipped cell in any order, since a
+  /// cell's step reads and writes only that cell. In the simd tier a block
+  /// with no skipped cell runs the kLanes-wide kernel and every other cell
+  /// runs W = 1; the other tiers loop step_cell in cell order.
+  void step_masked(std::span<const Amperes> requested, std::span<const std::uint8_t> skip,
+                   Seconds dt, std::span<StepResult> results);
 
   // --- per-cell observables (exact ports of the Battery accessors) ----------
   [[nodiscard]] double cell_soc(std::size_t c) const { return soc_[c]; }
@@ -225,6 +231,9 @@ class FleetState {
   StepResult step_cell_simd(std::size_t c, Amperes requested, Seconds dt);
   void step_all_simd(std::span<const Amperes> requested, Seconds dt,
                      std::span<StepResult> results);
+  void step_masked_simd(std::span<const Amperes> requested,
+                        std::span<const std::uint8_t> skip, Seconds dt,
+                        std::span<StepResult> results);
   /// Rebuild the derived per-cell constant mirrors below when dirty.
   void refresh_derived();
 

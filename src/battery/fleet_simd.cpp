@@ -18,8 +18,8 @@
 //
 // Consistency contract: step_cell_simd is the W = 1 instantiation of
 // step_block_simd, compiled in this same TU with contraction off, so the
-// router's per-cell active path and the batched step_all path are bitwise
-// identical within the tier (tests/fleet_kernel_test.cpp pins this).
+// per-cell path, the router's masked batch and the batched step_all path are
+// bitwise identical within the tier (tests/fleet_kernel_test.cpp pins this).
 // Against the Exact tier the simd trajectories are toleranced like Fast:
 // lifetime metrics within 0.1% (reassociated constants, precomputed
 // reciprocals, lane fastmath transcendentals).
@@ -168,8 +168,8 @@ void FleetState::step_block_simd(std::size_t base, std::size_t count,
     // whole body sits behind an any() guard: a group with no transferring
     // lane stores exactly what the masked computation would have stored
     // (everything here is select-discarded on non-member lanes), so skipping
-    // is invisible to the W = 1 == W = kLanes contract and the idle 0 A path
-    // (the router's step_cells batches) pays almost nothing.
+    // is invisible to the W = 1 == W = kLanes contract and an all-idle 0 A
+    // group in the router's masked batch pays almost nothing.
     const M d0 = s::cmp_gt(actual, zero);
     const M c0 = s::cmp_lt(actual, zero);
     const M active = s::mask_or(d0, c0);
@@ -499,6 +499,30 @@ void FleetState::step_all_simd(std::span<const Amperes> requested, Seconds dt,
                          results.data() + c + vec);
     }
     c += block;
+  }
+}
+
+void FleetState::step_masked_simd(std::span<const Amperes> requested,
+                                  std::span<const std::uint8_t> skip, Seconds dt,
+                                  std::span<StepResult> results) {
+  BAAT_REQUIRE(dt.value() > 0.0, "dt must be positive");
+  if (derived_dirty_) refresh_derived();
+  constexpr int W = util::simd::kLanes;
+  static_assert(kBlockCells == W, "a masked block is one lane group");
+  const std::size_t n = size();
+  for (std::size_t c = 0; c < n; c += kBlockCells) {
+    const std::size_t block = std::min(kBlockCells, n - c);
+    bool full = block == kBlockCells;
+    for (std::size_t o = 0; o < block && full; ++o) full = skip[c + o] == 0;
+    if (full) {
+      step_block_simd<W>(c, block, requested.data() + c, dt, results.data() + c);
+      continue;
+    }
+    for (std::size_t cell = c; cell < c + block; ++cell) {
+      if (skip[cell] == 0) {
+        step_block_simd<1>(cell, 1, requested.data() + cell, dt, results.data() + cell);
+      }
+    }
   }
 }
 

@@ -84,17 +84,29 @@ void route_power_into(Watts solar, std::span<const Watts> demands,
     }
   }
 
-  scratch.stepped.assign(n, 0);
-  std::vector<std::uint8_t>& stepped = scratch.stepped;
+  // Steps 3-5 decide first and step last. Every discharge current is fixed
+  // from pre-step state, the charge chain then runs sequentially (each
+  // charge step's result sets the bus left for the next), and finally every
+  // discharging and idle battery steps in one batch. A battery's step reads
+  // and writes only that battery, so this order gives the same bytes as
+  // stepping each one where it was decided.
+  scratch.requested.assign(n, Amperes{0.0});
+  scratch.discharging.assign(n, 0);
+  scratch.charged.assign(n, 0);
+  scratch.steps.resize(n);
+  std::vector<Amperes>& requested = scratch.requested;
+  std::vector<std::uint8_t>& discharging = scratch.discharging;
+  std::vector<std::uint8_t>& charged = scratch.charged;
+  std::vector<battery::StepResult>& steps = scratch.steps;
 
-  // 3. Batteries → remaining per-node deficits.
+  // 3. Batteries → remaining per-node deficits (currents only).
   for (std::size_t i = 0; i < n; ++i) {
     auto& node = result.nodes[i];
     const double deficit =
         (node.demand - node.solar_used - node.utility_used).value();
     if (deficit <= 1e-12) continue;
 
-    battery::Battery& bat = batteries[i];
+    const battery::Battery& bat = batteries[i];
     const double floor = discharge_floor_soc.empty() ? 0.0 : discharge_floor_soc[i];
     if (bat.soc() <= floor) {
       node.unmet = Watts{deficit};
@@ -121,28 +133,20 @@ void route_power_into(Watts solar, std::span<const Watts> demands,
       i_req = Amperes{ah_above_floor * 3600.0 / dt.value()};
       node.battery_cutoff = true;
     }
-
-    const auto step = bat.step(i_req, dt);
-    stepped[i] = true;
-    node.battery_current = step.actual_current;
-    node.battery_cutoff = node.battery_cutoff || step.hit_cutoff;
-    const double delivered_dc =
-        step.terminal_voltage.value() * step.actual_current.value();
-    const double delivered = std::max(0.0, delivered_dc) * params.inverter_efficiency;
-    node.battery_delivered = Watts{std::min(delivered, deficit)};
-    node.unmet = Watts{std::max(0.0, deficit - delivered)};
+    requested[i] = i_req;
+    discharging[i] = 1;
   }
 
   // 4. Leftover solar → charging. Under Proportional allocation every
   // eligible battery draws a share of the bus scaled by its acceptance;
   // under PriorityOrder the listed order is strict. Either way a battery
-  // that discharged this tick cannot also charge.
+  // that discharges this tick cannot also charge.
   const bool proportional =
       params.charge_allocation == ChargeAllocation::Proportional;
   double acceptance_power_total = 0.0;
   if (proportional) {
     for (std::size_t i = 0; i < n; ++i) {
-      if (stepped[i]) continue;
+      if (discharging[i]) continue;
       const Amperes accept = batteries[i].max_charge_current();
       if (accept.value() <= 0.0) continue;
       acceptance_power_total +=
@@ -158,7 +162,7 @@ void route_power_into(Watts solar, std::span<const Watts> demands,
   for (std::size_t rank = 0; rank < n && solar_left > 1e-9; ++rank) {
     const std::size_t i = charge_priority[rank];
     BAAT_REQUIRE(i < n, "charge priority index out of range");
-    if (stepped[i]) continue;
+    if (discharging[i] || charged[i]) continue;
     battery::Battery& bat = batteries[i];
     const Amperes accept = bat.max_charge_current();
     if (accept.value() <= 0.0) continue;
@@ -177,7 +181,7 @@ void route_power_into(Watts solar, std::span<const Watts> demands,
     if (i_chg <= 0.0) continue;
 
     const auto step = bat.step(Amperes{-i_chg}, dt);
-    stepped[i] = true;
+    charged[i] = 1;
     const double into_terminals =
         step.terminal_voltage.value() * std::fabs(step.actual_current.value());
     // The step reports the end-of-step terminal voltage (the OCV rose a
@@ -190,25 +194,36 @@ void route_power_into(Watts solar, std::span<const Watts> demands,
     solar_left = std::max(0.0, solar_left - from_bus);
   }
 
-  // 5. Idle batteries still age on the calendar. When every node's battery
-  // is a view into one shared FleetState (a cluster bank), the zero-current
-  // steps go through the batched kernel entry in one call; mixed or
-  // standalone banks take the per-object loop. Cell order matches the loop,
-  // so the two paths are identical.
+  // 5. Every battery that did not charge steps now: the discharging ones at
+  // their decided current, the idle ones at 0 A (they still age on the
+  // calendar). When node i is cell i of one shared FleetState (a cluster
+  // bank) this is one masked batched fleet call; standalone or mixed banks
+  // take the per-object loop.
   battery::FleetState* fleet = n > 0 ? batteries[0].fleet() : nullptr;
-  for (std::size_t i = 1; i < n && fleet != nullptr; ++i) {
-    if (batteries[i].fleet() != fleet) fleet = nullptr;
+  if (fleet != nullptr && fleet->size() != n) fleet = nullptr;
+  for (std::size_t i = 0; i < n && fleet != nullptr; ++i) {
+    if (batteries[i].fleet() != fleet || batteries[i].cell_index() != i) fleet = nullptr;
   }
   if (fleet != nullptr) {
-    scratch.idle_cells.clear();
-    for (std::size_t i = 0; i < n; ++i) {
-      if (!stepped[i]) scratch.idle_cells.push_back(batteries[i].cell_index());
-    }
-    fleet->step_cells(scratch.idle_cells, Amperes{0.0}, dt);
+    fleet->step_masked(requested, charged, dt, steps);
   } else {
     for (std::size_t i = 0; i < n; ++i) {
-      if (!stepped[i]) batteries[i].step(Amperes{0.0}, dt);
+      if (!charged[i]) steps[i] = batteries[i].step(requested[i], dt);
     }
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    if (!discharging[i]) continue;
+    auto& node = result.nodes[i];
+    const battery::StepResult& step = steps[i];
+    const double deficit =
+        (node.demand - node.solar_used - node.utility_used).value();
+    node.battery_current = step.actual_current;
+    node.battery_cutoff = node.battery_cutoff || step.hit_cutoff;
+    const double delivered_dc =
+        step.terminal_voltage.value() * step.actual_current.value();
+    const double delivered = std::max(0.0, delivered_dc) * params.inverter_efficiency;
+    node.battery_delivered = Watts{std::min(delivered, deficit)};
+    node.unmet = Watts{std::max(0.0, deficit - delivered)};
   }
 
   result.solar_curtailed = Watts{solar_left};

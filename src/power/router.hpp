@@ -71,8 +71,10 @@ struct RouteResult {
 /// these alive across ticks (Cluster does) makes routing allocation-free in
 /// steady state: the vectors grow once to the node count and are reused.
 struct RouterScratch {
-  std::vector<std::uint8_t> stepped;
-  std::vector<std::size_t> idle_cells;
+  std::vector<Amperes> requested;          ///< decided discharge current, 0 = idle
+  std::vector<std::uint8_t> discharging;  ///< node discharges this tick
+  std::vector<std::uint8_t> charged;      ///< stepped by the charge chain
+  std::vector<battery::StepResult> steps;
 };
 
 /// Routes one tick. `demands[i]` is node i's server power; `batteries[i]` is

@@ -237,8 +237,8 @@ core::PolicyContext Cluster::build_context(util::Seconds now,
     if (guard_.enabled()) {
       // Staleness is judged by the newest sensor sample behind the estimate
       // (stuck/stale injections deliver old timestamps, so it lags).
-      const auto& hist = life_tables_[i].history();
-      const util::Seconds reading_time = hist.empty() ? now : hist.back().time;
+      const auto& last = life_tables_[i].last_reading();
+      const util::Seconds reading_time = last ? last->time : now;
       n.soc = guard_.filter_soc(i, n.soc, reading_time, now);
     }
     n.metrics = telemetry::compute_metrics(day_tables_[i], cfg_.metrics);

@@ -34,7 +34,7 @@
 
 namespace baat::snapshot {
 
-inline constexpr std::uint32_t kSectionFormatVersion = 1;
+inline constexpr std::uint32_t kSectionFormatVersion = 2;
 
 /// A SectionFileWriter keeps appended sections in memory until commit, or
 /// until they pass this many bytes — then it creates the tmp file and

@@ -13,6 +13,11 @@ PowerTable::PowerTable(PowerTableParams params) : params_(std::move(params)) {
 
 void PowerTable::record(const SensorReading& reading, Seconds dt) {
   BAAT_REQUIRE(dt.value() > 0.0, "dt must be positive");
+  if (dt.value() != alpha_dt_key_) {
+    alpha_dt_key_ = dt.value();
+    anchor_alpha_ = 1.0 - std::exp(-dt.value() / 300.0);
+    dr_alpha_ = 1.0 - std::exp(-dt.value() / params_.dr_window.value());
+  }
 
   // SoC estimate. Default scheme: rest-anchored coulomb counting, the
   // standard BMS approach the prototype's control server can implement from
@@ -35,8 +40,7 @@ void PowerTable::record(const SensorReading& reading, Seconds dt) {
     const double rest_threshold = 0.1 * params_.chemistry.capacity_c20.value();
     if (std::fabs(reading.current.value()) < rest_threshold) {
       // Per-minute-scale blend: anchors fully within a few idle minutes.
-      const double alpha = 1.0 - std::exp(-dt.value() / 300.0);
-      soc_estimate_ += alpha * (soc_v - soc_estimate_);
+      soc_estimate_ += anchor_alpha_ * (soc_v - soc_estimate_);
     }
   }
 
@@ -61,12 +65,10 @@ void PowerTable::record(const SensorReading& reading, Seconds dt) {
   if (soc_estimate_ < 0.40) time_below_40_ += dt;
 
   // DR: exponentially weighted discharge current over the configured window.
-  const double alpha = 1.0 - std::exp(-dt.value() / params_.dr_window.value());
   const double discharge = std::max(0.0, i);
-  dr_ewma_ += alpha * (discharge - dr_ewma_);
+  dr_ewma_ += dr_alpha_ * (discharge - dr_ewma_);
 
-  history_.push_back(reading);
-  while (history_.size() > params_.history_depth) history_.pop_front();
+  last_reading_ = reading;
 }
 
 AmpereHours PowerTable::ah_in_range(std::size_t range) const {
@@ -82,9 +84,9 @@ void PowerTable::save_state(snapshot::SnapshotWriter& w) const {
   w.write_f64(time_below_40_.value());
   w.write_f64(dr_ewma_);
   w.write_f64(soc_estimate_);
-  w.write_u64(history_.size());
+  w.write_bool(last_reading_.has_value());
   // Qualified: the member function would otherwise hide the free helper.
-  for (const SensorReading& s : history_) telemetry::save_state(w, s);
+  if (last_reading_) telemetry::save_state(w, *last_reading_);
 }
 
 void PowerTable::load_state(snapshot::SnapshotReader& r) {
@@ -95,13 +97,8 @@ void PowerTable::load_state(snapshot::SnapshotReader& r) {
   time_below_40_ = Seconds{r.read_f64()};
   dr_ewma_ = r.read_f64();
   soc_estimate_ = r.read_f64();
-  const auto n = r.read_u64();
-  history_.clear();
-  for (std::uint64_t i = 0; i < n; ++i) {
-    SensorReading s;
-    telemetry::load_state(r, s);
-    history_.push_back(s);
-  }
+  last_reading_.reset();
+  if (r.read_bool()) telemetry::load_state(r, last_reading_.emplace());
 }
 
 }  // namespace baat::telemetry

@@ -1,12 +1,15 @@
 #pragma once
 
-// The per-battery "power table" (Table 2, Fig 7): the utilization history
-// log the BAAT controller derives all five aging metrics from. Everything
+// The per-battery "power table" (Table 2, Fig 7): the running accumulators
+// the BAAT controller derives all five aging metrics from online. Everything
 // here is computed from *sensor readings only* — SoC is estimated from the
 // measured voltage and current the way the prototype's control server does,
-// never read from the battery's internal state.
+// never read from the battery's internal state. No raw sample log is kept:
+// the metrics need only the accumulators, and the guard only the newest
+// reading's timestamp.
 
-#include <deque>
+#include <limits>
+#include <optional>
 
 #include "battery/chemistry.hpp"
 #include "telemetry/sensor.hpp"
@@ -36,15 +39,13 @@ struct PowerTableParams {
   SocEstimation estimation = SocEstimation::RestAnchoredCoulomb;
   /// Exponential window for the discharge-rate metric (DR, §III-E).
   Seconds dr_window{util::minutes(10.0)};
-  /// Ring-buffer depth of raw samples kept for inspection/debugging.
-  std::size_t history_depth = 1024;
 };
 
 class PowerTable {
  public:
   explicit PowerTable(PowerTableParams params);
 
-  /// Fold one sensor reading covering `dt` into the log.
+  /// Fold one sensor reading covering `dt` into the accumulators.
   void record(const SensorReading& reading, Seconds dt);
 
   // --- accumulators the metric engine consumes (Eq 1–5 numerators) ---------
@@ -60,11 +61,15 @@ class PowerTable {
   /// SoC estimated from the latest reading (voltage + I·R correction).
   [[nodiscard]] double estimated_soc() const { return soc_estimate_; }
 
-  [[nodiscard]] const std::deque<SensorReading>& history() const { return history_; }
+  /// The newest recorded reading (a stuck sensor's frozen timestamp
+  /// included), or nothing before the first record().
+  [[nodiscard]] const std::optional<SensorReading>& last_reading() const {
+    return last_reading_;
+  }
   [[nodiscard]] const PowerTableParams& params() const { return params_; }
 
-  /// Checkpoint support: accumulators, the EWMA/SoC estimate and the raw
-  /// sample ring. Params are configuration and are rebuilt by the scenario.
+  /// Checkpoint support: accumulators, the EWMA/SoC estimate and the last
+  /// reading. Params are configuration and are rebuilt by the scenario.
   void save_state(snapshot::SnapshotWriter& w) const;
   void load_state(snapshot::SnapshotReader& r);
 
@@ -78,7 +83,15 @@ class PowerTable {
   Seconds time_below_40_{0.0};
   double dr_ewma_ = 0.0;
   double soc_estimate_ = 1.0;
-  std::deque<SensorReading> history_;
+  std::optional<SensorReading> last_reading_;
+
+  // Last-argument memo of the two EWMA factors, keyed on dt (the sim's dt
+  // is fixed, so this is one miss per table): a hit returns the exact
+  // doubles the std::exp expressions produced. The key starts NaN so the
+  // first record() always misses.
+  double alpha_dt_key_ = std::numeric_limits<double>::quiet_NaN();
+  double anchor_alpha_ = 0.0;  ///< 1 - exp(-dt / 300 s), the SoC re-anchor blend
+  double dr_alpha_ = 0.0;      ///< 1 - exp(-dt / dr_window), the DR EWMA factor
 };
 
 }  // namespace baat::telemetry

@@ -27,7 +27,7 @@ struct SensorReading {
 };
 
 /// Checkpoint helpers shared by everything that retains readings (the power
-/// table's history ring, the fault injector's stuck/last slots).
+/// table's last reading, the fault injector's stuck/last slots).
 inline void save_state(snapshot::SnapshotWriter& w, const SensorReading& s) {
   w.write_f64(s.time.value());
   w.write_f64(s.voltage.value());

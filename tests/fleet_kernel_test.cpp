@@ -8,11 +8,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
+#include <random>
+#include <string>
 #include <vector>
 
 #include "battery/battery.hpp"
+#include "battery/chemistry_model.hpp"
 #include "battery/fleet.hpp"
 #include "battery/kibam.hpp"
 #include "battery/thermal.hpp"
@@ -153,7 +158,7 @@ TEST(FleetKernel, BitIdenticalToObjectLoopFaulted) {
   expect_fleet_matches_objects(6.0, true);
 }
 
-TEST(FleetKernel, BatchedIdleStepMatchesPerCellStep) {
+TEST(FleetKernel, MaskedIdleStepMatchesPerCellStep) {
   const LeadAcidParams chem{};
   const AgingParams aging{};
   const ThermalParams thermal{};
@@ -163,10 +168,15 @@ TEST(FleetKernel, BatchedIdleStepMatchesPerCellStep) {
     a.add_cell(1.0, 1.0, 0.3 + 0.1 * static_cast<double>(i));
     b.add_cell(1.0, 1.0, 0.3 + 0.1 * static_cast<double>(i));
   }
-  std::vector<std::size_t> cells = {0, 2, 3, 5};  // the router's idle subset shape
+  // The router's idle subset shape: cells 1 and 4 charged elsewhere.
+  const std::vector<std::uint8_t> skip = {0, 1, 0, 0, 1, 0};
+  const std::vector<Amperes> zero(kCells, Amperes{0.0});
+  std::vector<StepResult> results(kCells);
   for (long k = 0; k < 2000; ++k) {
-    a.step_cells(cells, Amperes{0.0}, kDt);
-    for (const std::size_t c : cells) b.step_cell(c, Amperes{0.0}, kDt);
+    a.step_masked(zero, skip, kDt, results);
+    for (std::size_t c = 0; c < kCells; ++c) {
+      if (skip[c] == 0) b.step_cell(c, Amperes{0.0}, kDt);
+    }
   }
   for (std::size_t i = 0; i < kCells; ++i) {
     EXPECT_EQ(a.cell_soc(i), b.cell_soc(i));
@@ -174,6 +184,133 @@ TEST(FleetKernel, BatchedIdleStepMatchesPerCellStep) {
     EXPECT_EQ(a.cell_aging_state(i).total(), b.cell_aging_state(i).total());
     EXPECT_EQ(a.cell_counters(i).time_total.value(), b.cell_counters(i).time_total.value());
   }
+  EXPECT_EQ(a.cell_counters(1).time_total.value(), 0.0);  // skipped: never stepped
+}
+
+/// Every per-cell observable of `a` and `b` compared with exact equality.
+void expect_same_cell(const FleetState& a, const FleetState& b, std::size_t c) {
+  EXPECT_EQ(a.cell_soc(c), b.cell_soc(c)) << "cell " << c;
+  EXPECT_EQ(a.cell_temperature(c).value(), b.cell_temperature(c).value()) << "cell " << c;
+  EXPECT_EQ(a.cell_health(c), b.cell_health(c)) << "cell " << c;
+  EXPECT_EQ(a.cell_aging_state(c).total(), b.cell_aging_state(c).total()) << "cell " << c;
+  EXPECT_EQ(a.cell_cycle_damage(c), b.cell_cycle_damage(c)) << "cell " << c;
+  const UsageCounters& ca = a.cell_counters(c);
+  const UsageCounters& cb = b.cell_counters(c);
+  EXPECT_EQ(ca.ah_discharged.value(), cb.ah_discharged.value()) << "cell " << c;
+  EXPECT_EQ(ca.ah_charged.value(), cb.ah_charged.value()) << "cell " << c;
+  for (std::size_t r = 0; r < 4; ++r) {
+    EXPECT_EQ(ca.ah_by_range[r].value(), cb.ah_by_range[r].value()) << "cell " << c;
+  }
+  EXPECT_EQ(ca.time_total.value(), cb.time_total.value()) << "cell " << c;
+  EXPECT_EQ(ca.time_below_40.value(), cb.time_below_40.value()) << "cell " << c;
+  EXPECT_EQ(ca.time_since_full_charge.value(), cb.time_since_full_charge.value())
+      << "cell " << c;
+  EXPECT_EQ(ca.full_charge_events, cb.full_charge_events) << "cell " << c;
+  EXPECT_EQ(ca.min_soc_since_full, cb.min_soc_since_full) << "cell " << c;
+  EXPECT_EQ(ca.energy_discharged.value(), cb.energy_discharged.value()) << "cell " << c;
+  EXPECT_EQ(ca.energy_charged.value(), cb.energy_charged.value()) << "cell " << c;
+}
+
+/// Steps one fleet through step_masked and a twin cell by cell through
+/// step_cell under random skip masks and currents, for fleet sizes that
+/// leave a ragged last block. Each block of each tick is drawn unskipped,
+/// fully skipped or partly skipped; the stepped results and the full
+/// per-cell state must match bitwise, and skipped result slots must stay
+/// untouched.
+void expect_masked_matches_per_cell(Chemistry kind, MathMode math) {
+  // util::simd::kLanes, the simd tier's block width. Not included here: the
+  // header's inline lane code is compiled with arch flags in the kernel TU.
+  constexpr std::size_t kBlock = 8;
+  for (const std::size_t cells : {std::size_t{5}, std::size_t{13}, std::size_t{19}}) {
+    SCOPED_TRACE("cells = " + std::to_string(cells));
+    const ChemistryModel model = chemistry_model(kind);
+    FleetState masked{model, ThermalParams{}, math};
+    FleetState percell{model, ThermalParams{}, math};
+    for (std::size_t c = 0; c < cells; ++c) {
+      const double cap = 1.0 - 0.01 * static_cast<double>(c % 5);
+      const double res = 1.0 + 0.02 * static_cast<double>(c % 3);
+      const double soc = 0.3 + 0.6 * static_cast<double>(c) / static_cast<double>(cells);
+      masked.add_cell(cap, res, soc);
+      percell.add_cell(cap, res, soc);
+    }
+    std::mt19937_64 rng{0xBAA7u + cells};
+    std::vector<Amperes> req(cells);
+    std::vector<std::uint8_t> skip(cells);
+    std::vector<StepResult> results(cells);
+    std::vector<double> sign(cells, 1.0);
+    long unskipped = 0;
+    long fully = 0;
+    long partly = 0;
+    Mismatch bad;
+    for (long k = 0; k < 3000 && bad.count == 0; ++k) {
+      for (std::size_t base = 0; base < cells; base += kBlock) {
+        const std::size_t end = std::min(cells, base + kBlock);
+        const std::uint64_t draw = rng() % 3;
+        std::size_t skipped = 0;
+        for (std::size_t c = base; c < end; ++c) {
+          skip[c] = draw == 0 ? 0 : draw == 1 ? 1 : static_cast<std::uint8_t>(rng() & 1);
+          skipped += skip[c];
+        }
+        if (end - base == kBlock) {
+          if (skipped == 0) ++unskipped;
+          else if (skipped == kBlock) ++fully;
+          else ++partly;
+        }
+      }
+      for (std::size_t c = 0; c < cells; ++c) {
+        // One draw in four is an idle 0 A step, the rest 1..16 A.
+        const std::uint64_t draw = rng() % 64;
+        req[c] = Amperes{draw < 16 ? 0.0 : sign[c] * (1.0 + 0.3125 * static_cast<double>(draw - 16))};
+        results[c] = StepResult{Amperes{-999.0}, Volts{-999.0}, true, true};
+      }
+      masked.step_masked(req, skip, kDt, results);
+      for (std::size_t c = 0; c < cells; ++c) {
+        if (skip[c] != 0) {
+          if (results[c].actual_current.value() != -999.0 ||
+              results[c].terminal_voltage.value() != -999.0) {
+            bad.note(k);
+          }
+          continue;
+        }
+        const StepResult r = percell.step_cell(c, req[c], kDt);
+        if (r.actual_current.value() != results[c].actual_current.value() ||
+            r.terminal_voltage.value() != results[c].terminal_voltage.value() ||
+            r.hit_cutoff != results[c].hit_cutoff ||
+            r.fully_charged != results[c].fully_charged ||
+            masked.cell_soc(c) != percell.cell_soc(c)) {
+          bad.note(k);
+        }
+        if (masked.cell_soc(c) < 0.2) sign[c] = -1.0;
+        if (masked.cell_soc(c) > 0.9) sign[c] = 1.0;
+      }
+    }
+    EXPECT_EQ(bad.count, 0) << "masked and per-cell paths diverged at tick "
+                            << bad.first_tick;
+    for (std::size_t c = 0; c < cells; ++c) expect_same_cell(masked, percell, c);
+    if (cells >= kBlock) {
+      EXPECT_GT(unskipped, 0);
+      EXPECT_GT(fully, 0);
+      EXPECT_GT(partly, 0);
+    }
+  }
+}
+
+TEST(FleetKernel, MaskedStepMatchesPerCellLeadAcidExact) {
+  expect_masked_matches_per_cell(Chemistry::LeadAcid, MathMode::Exact);
+}
+
+TEST(FleetKernel, MaskedStepMatchesPerCellLeadAcidSimd) {
+  expect_masked_matches_per_cell(Chemistry::LeadAcid, MathMode::Simd);
+}
+
+TEST(FleetKernel, MaskedStepMatchesPerCellLiNmc) {
+  expect_masked_matches_per_cell(Chemistry::LiNmc, MathMode::Exact);
+  expect_masked_matches_per_cell(Chemistry::LiNmc, MathMode::Simd);
+}
+
+TEST(FleetKernel, MaskedStepMatchesPerCellBucket) {
+  expect_masked_matches_per_cell(Chemistry::Bucket, MathMode::Exact);
+  expect_masked_matches_per_cell(Chemistry::Bucket, MathMode::Simd);
 }
 
 TEST(FleetKernel, ViewsForwardToFleetState) {

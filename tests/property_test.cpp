@@ -7,8 +7,12 @@
 #include <cmath>
 #include <iterator>
 #include <numeric>
+#include <span>
 #include <string>
+#include <utility>
+#include <vector>
 
+#include "battery/bank.hpp"
 #include "battery/battery.hpp"
 #include "battery/fleet.hpp"
 #include "battery/step_math.hpp"
@@ -116,6 +120,115 @@ TEST_P(RouterFuzz, ConservationAndBalance) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RouterFuzz,
                          ::testing::Range<std::uint64_t>(1u, 21u));
+
+// ---------------------------------------------------------------------------
+// Router: a cluster bank (node i is cell i of one shared fleet, stepped by the
+// masked batch) routes exactly like standalone units (the per-object loop).
+// ---------------------------------------------------------------------------
+
+class RouterFleetEquivalence : public ::testing::TestWithParam<std::uint64_t> {};
+
+void expect_same_route(const power::RouteResult& a, const power::RouteResult& b,
+                       int tick) {
+  ASSERT_EQ(a.nodes.size(), b.nodes.size());
+  EXPECT_EQ(a.solar_available.value(), b.solar_available.value()) << "tick " << tick;
+  EXPECT_EQ(a.solar_curtailed.value(), b.solar_curtailed.value()) << "tick " << tick;
+  EXPECT_EQ(a.utility_drawn.value(), b.utility_drawn.value()) << "tick " << tick;
+  for (std::size_t i = 0; i < a.nodes.size(); ++i) {
+    const power::NodeRoute& x = a.nodes[i];
+    const power::NodeRoute& y = b.nodes[i];
+    EXPECT_EQ(x.demand.value(), y.demand.value()) << "tick " << tick << " node " << i;
+    EXPECT_EQ(x.solar_used.value(), y.solar_used.value()) << "tick " << tick << " node " << i;
+    EXPECT_EQ(x.utility_used.value(), y.utility_used.value())
+        << "tick " << tick << " node " << i;
+    EXPECT_EQ(x.battery_delivered.value(), y.battery_delivered.value())
+        << "tick " << tick << " node " << i;
+    EXPECT_EQ(x.unmet.value(), y.unmet.value()) << "tick " << tick << " node " << i;
+    EXPECT_EQ(x.charge_drawn.value(), y.charge_drawn.value())
+        << "tick " << tick << " node " << i;
+    EXPECT_EQ(x.battery_current.value(), y.battery_current.value())
+        << "tick " << tick << " node " << i;
+    EXPECT_EQ(x.battery_cutoff, y.battery_cutoff) << "tick " << tick << " node " << i;
+  }
+}
+
+TEST_P(RouterFleetEquivalence, FleetViewsRouteLikeStandaloneUnits) {
+  for (const battery::MathMode math : {battery::MathMode::Exact, battery::MathMode::Simd}) {
+    for (const power::ChargeAllocation alloc :
+         {power::ChargeAllocation::Proportional, power::ChargeAllocation::PriorityOrder}) {
+      SCOPED_TRACE(std::string(math == battery::MathMode::Exact ? "exact" : "simd") +
+                   (alloc == power::ChargeAllocation::Proportional ? " proportional"
+                                                                   : " priority"));
+      util::Rng rng{GetParam()};
+      // Up to 21 nodes: full 8-cell blocks plus a ragged tail.
+      const std::size_t n = 3 + rng.uniform_index(19);
+      battery::FleetState fleet{battery::LeadAcidParams{}, battery::AgingParams{},
+                                battery::ThermalParams{}, math};
+      for (std::size_t i = 0; i < n; ++i) {
+        // Unit 0 and some others start near empty so the LVD cuts
+        // discharges off.
+        const bool low = i == 0 || rng.bernoulli(0.25);
+        fleet.add_cell(rng.uniform(0.9, 1.1), rng.uniform(0.8, 1.2),
+                       low ? rng.uniform(0.0, 0.05) : rng.uniform(0.1, 1.0));
+      }
+      std::vector<battery::Battery> views = battery::fleet_views(fleet);
+      std::vector<battery::Battery> units(views.begin(), views.end());  // deep copies
+      ASSERT_EQ(units[0].fleet()->size(), 1u);
+
+      power::RouterParams params;
+      params.charge_allocation = alloc;
+      power::RouteResult fleet_route;
+      power::RouterScratch scratch;
+      std::vector<util::Watts> demands(n);
+      std::vector<std::size_t> order(n);
+      std::iota(order.begin(), order.end(), std::size_t{0});
+      std::vector<double> floors(n);
+      const std::size_t open_node = rng.uniform_index(n);
+      const int open_tick = 50 + static_cast<int>(rng.uniform_index(100));
+      long lvd_cutoffs = 0;
+      for (int tick = 0; tick < 300; ++tick) {
+        if (tick == open_tick) {
+          views[open_node].fail_open();
+          units[open_node].fail_open();
+        }
+        for (std::size_t i = 0; i < n; ++i) {
+          demands[i] = util::watts(rng.uniform(0.0, 300.0));
+          floors[i] = rng.uniform(0.0, 0.5);
+        }
+        for (std::size_t i = n; i > 1; --i) {
+          std::swap(order[i - 1], order[rng.uniform_index(i)]);
+        }
+        // Night, partial and surplus sun; a utility budget one tick in four.
+        const util::Watts solar = util::watts(rng.uniform(0.0, 250.0 * static_cast<double>(n)));
+        params.utility_budget = util::watts(rng.bernoulli(0.25) ? rng.uniform(0.0, 400.0) : 0.0);
+        const bool with_floor = rng.bernoulli(0.5);
+        const std::span<const double> floor =
+            with_floor ? std::span<const double>(floors) : std::span<const double>{};
+        power::route_power_into(solar, demands, views, order, params, util::minutes(1.0),
+                                floor, fleet_route, scratch);
+        const power::RouteResult unit_route = power::route_power(
+            solar, demands, units, order, params, util::minutes(1.0), floor);
+        expect_same_route(fleet_route, unit_route, tick);
+        for (std::size_t i = 0; i < n; ++i) {
+          ASSERT_EQ(views[i].soc(), units[i].soc()) << "tick " << tick << " node " << i;
+          ASSERT_EQ(views[i].health(), units[i].health()) << "tick " << tick << " node " << i;
+          // A discharge curtailed without a policy floor: the LVD or an
+          // empty cell stopped it.
+          const power::NodeRoute& node = fleet_route.nodes[i];
+          if (!with_floor && node.battery_cutoff && node.battery_current.value() > 0.0) {
+            ++lvd_cutoffs;
+          }
+        }
+        if (::testing::Test::HasFailure()) return;
+      }
+      EXPECT_GT(lvd_cutoffs, 0);
+      EXPECT_TRUE(views[open_node].open_failed());
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, RouterFleetEquivalence,
+                         ::testing::Range<std::uint64_t>(1u, 11u));
 
 // ---------------------------------------------------------------------------
 // Metric invariants on random power tables.

@@ -530,6 +530,37 @@ TEST(SweepCheckpoint, RetiredFlatPointFileRerunsAndHeals) {
   EXPECT_DOUBLE_EQ(value, 10.0);
 }
 
+TEST(SweepCheckpoint, FormatV1PointFileRerunsAndHeals) {
+  // A point file from a build before the power table dropped its sample
+  // ring: a valid container whose header says format version 1.
+  CheckpointDir dir{"sweep_v1"};
+  SweepOptions opts;
+  opts.jobs = 1;
+  opts.checkpoint_dir = dir.path();
+  double value = 0.0;
+  std::atomic<int> runs{0};
+  run_sweep({value_job("point-0", 3.0, &value, &runs)}, opts);
+  const std::string ckpt = dir.path() + "/point-0.ckpt";
+  {
+    std::fstream f{ckpt, std::ios::binary | std::ios::in | std::ios::out};
+    f.seekp(8);  // u32 version, right after the 8-byte magic
+    const char v1[4] = {1, 0, 0, 0};
+    f.write(v1, 4);
+  }
+  value = 0.0;
+  const auto rerun = run_sweep({value_job("point-0", 3.0, &value, &runs)}, opts);
+  EXPECT_EQ(runs.load(), 2);
+  EXPECT_TRUE(rerun[0].ok);
+  EXPECT_FALSE(rerun[0].resumed);
+  EXPECT_DOUBLE_EQ(value, 10.0);
+
+  value = 0.0;
+  const auto healed = run_sweep({value_job("point-0", 3.0, &value, &runs)}, opts);
+  EXPECT_EQ(runs.load(), 2);
+  EXPECT_TRUE(healed[0].resumed);
+  EXPECT_DOUBLE_EQ(value, 10.0);
+}
+
 TEST(SweepCheckpoint, HashMismatchedCheckpointReruns) {
   CheckpointDir dir{"sweep_hash"};
   SweepOptions opts;

@@ -293,6 +293,9 @@ TEST(SectionFile, BadMagicAndVersionRefused) {
       {"garbage version", 8, 0xEE, "format version"},
       {"future version", 8, static_cast<std::uint8_t>(kSectionFormatVersion + 1),
        "format version"},
+      // v1 clusters carried a count plus a 1024-reading sensor ring per power
+      // table; parsing one as v2 would misalign, so the header refuses it.
+      {"v1 file", 8, 1, "format version"},
       {"missing file", SIZE_MAX, 0, "cannot open"},
   };
   for (const Case& c : cases) {

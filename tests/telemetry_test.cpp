@@ -1,10 +1,20 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "battery/battery.hpp"
+#include "fault/fault.hpp"
+#include "fault/injector.hpp"
+#include "obs/metrics.hpp"
+#include "sim/cluster.hpp"
+#include "sim/experiment.hpp"
+#include "snapshot/serialize.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/power_table.hpp"
 #include "telemetry/sensor.hpp"
 #include "util/require.hpp"
+#include "util/sim_clock.hpp"
 
 namespace baat::telemetry {
 namespace {
@@ -101,14 +111,99 @@ TEST(PowerTable, DrEwmaRisesAndDecays) {
   EXPECT_LT(t.recent_discharge_amps(), 0.1);
 }
 
-TEST(PowerTable, HistoryRingBounded) {
-  PowerTableParams p;
-  p.chemistry = battery::LeadAcidParams{};
-  p.history_depth = 16;
-  PowerTable t{p};
+TEST(PowerTable, LastReadingIsNewestRecorded) {
+  PowerTable t = make_table();
+  EXPECT_FALSE(t.last_reading().has_value());
+  SensorReading a;
+  a.time = util::Seconds{60.0};
+  a.voltage = util::Volts{12.6};
+  a.current = util::Amperes{2.0};
+  a.temperature = util::Celsius{26.0};
+  t.record(a, minutes(1.0));
+  SensorReading b = a;
+  b.time = util::Seconds{120.0};
+  b.current = util::Amperes{-3.0};
+  t.record(b, minutes(1.0));
+  ASSERT_TRUE(t.last_reading().has_value());
+  EXPECT_EQ(t.last_reading()->time.value(), 120.0);
+  EXPECT_EQ(t.last_reading()->current.value(), -3.0);
+  EXPECT_EQ(t.last_reading()->voltage.value(), 12.6);
+  EXPECT_EQ(t.last_reading()->temperature.value(), 26.0);
+}
+
+TEST(PowerTable, LastReadingKeepsStuckSensorTimestamp) {
+  // A stuck sensor re-delivers its frozen sample: the table must hold that
+  // sample's old timestamp, which is what the guard judges staleness by.
+  fault::FaultInjector inj{fault::parse_fault_plan("sensor_stuck:p=1:hold=10"), 5, 1};
+  PowerTable t = make_table();
+  SensorReading r;
+  r.voltage = util::Volts{12.5};
+  r.current = util::Amperes{1.0};
+  for (int k = 0; k < 5; ++k) {
+    r.time = util::Seconds{60.0 * k};
+    t.record(inj.perturb_reading(0, r), minutes(1.0));
+  }
+  ASSERT_TRUE(t.last_reading().has_value());
+  EXPECT_EQ(t.last_reading()->time.value(), 0.0);
+}
+
+TEST(PowerTable, SaveLoadRoundTripsEmptyAndFilledTables) {
+  const auto bytes_of = [](const PowerTable& t) {
+    snapshot::SnapshotWriter w;
+    t.save_state(w);
+    return w.bytes();
+  };
   battery::Battery b = fresh(0.9);
-  drive(b, t, 1.0, 2.0);
-  EXPECT_EQ(t.history().size(), 16u);
+  PowerTable filled = make_table();
+  drive(b, filled, 4.0, 1.0);
+  const std::vector<std::uint8_t> filled_bytes = bytes_of(filled);
+  // Load over a table holding other state, so every field must come from
+  // the bytes.
+  PowerTable restored = make_table();
+  SensorReading stray;
+  stray.time = util::Seconds{1e6};
+  restored.record(stray, minutes(1.0));
+  snapshot::SnapshotReader filled_rd{filled_bytes};
+  restored.load_state(filled_rd);
+  EXPECT_TRUE(filled_rd.exhausted());
+  EXPECT_EQ(bytes_of(restored), filled_bytes);
+  ASSERT_TRUE(restored.last_reading().has_value());
+  EXPECT_EQ(restored.last_reading()->time.value(), filled.last_reading()->time.value());
+  EXPECT_EQ(restored.estimated_soc(), filled.estimated_soc());
+  EXPECT_EQ(restored.recent_discharge_amps(), filled.recent_discharge_amps());
+
+  const std::vector<std::uint8_t> empty_bytes = bytes_of(make_table());
+  snapshot::SnapshotReader empty_rd{empty_bytes};
+  restored.load_state(empty_rd);
+  EXPECT_TRUE(empty_rd.exhausted());
+  EXPECT_FALSE(restored.last_reading().has_value());
+  EXPECT_EQ(bytes_of(restored), empty_bytes);
+  EXPECT_EQ(restored.time_total().value(), 0.0);
+}
+
+TEST(PowerTable, StuckSensorStaleFallbacksPinned) {
+  // The guard reads its staleness timestamp from last_reading(). Pin the
+  // stale-fallback count of a stuck-sensor run so the timestamp the guard
+  // sees cannot drift. 662 is what the same run counted when the timestamp
+  // still came from the back of a raw sample ring.
+  constexpr double kStuckStaleFallbacks = 662.0;
+  obs::Registry reg;
+  obs::Registry* const prev = obs::set_thread_registry(&reg);
+  util::set_sim_time(0.0);
+  sim::ScenarioConfig cfg = sim::prototype_scenario();
+  cfg.nodes = 4;
+  cfg.seed = 11;
+  cfg.faults = fault::parse_fault_plan("sensor_stuck:p=0.02:hold=45");
+  cfg.guard.enabled = true;
+  {
+    sim::Cluster cluster{cfg};
+    for (const solar::DayType day :
+         {solar::DayType::Sunny, solar::DayType::Cloudy, solar::DayType::Rainy}) {
+      (void)cluster.run_day(day);
+    }
+  }
+  obs::set_thread_registry(prev);
+  EXPECT_EQ(reg.counter("policy.fallback", "stale").value(), kStuckStaleFallbacks);
 }
 
 TEST(Metrics, FreshTableIsNeutral) {

@@ -31,7 +31,7 @@ import sys
 import zlib
 
 SNAP_MAGIC = b"BAATSECT"
-SNAP_VERSION = 1
+SNAP_VERSION = 2
 SNAP_HEADER = struct.Struct("<8sIQQ")  # magic, version, config hash, sections
 SECTION_PREFIX = struct.Struct("<QI")  # payload size, crc
 
@@ -242,7 +242,8 @@ def self_test():
         assert manifest["day"] == 3, manifest
         text = out.getvalue()
         for needle in ("watchdog: nan", "health score 1000", "fade_corrosion",
-                       "health.fatal", "format v1", "1 section(s) of 4 bytes",
+                       "health.fatal", f"format v{SNAP_VERSION}",
+                       "1 section(s) of 4 bytes",
                        "CRC OK"):
             assert needle in text, f"rendered output lacks {needle!r}:\n{text}"
 
@@ -257,7 +258,10 @@ def self_test():
                 ("retired container", b"BAATSNAP" + snap[8:], "retired"),
                 ("future version",
                  SNAP_HEADER.pack(SNAP_MAGIC, SNAP_VERSION + 1, 0, 1)
-                 + snap[SNAP_HEADER.size:], "format version")):
+                 + snap[SNAP_HEADER.size:], "format version"),
+                ("v1 file",
+                 SNAP_HEADER.pack(SNAP_MAGIC, 1, 0, 1)
+                 + snap[SNAP_HEADER.size:], "format version 1")):
             put_snap(raw)
             msg = expect_exit(label, lambda: snap_header(bundle))
             assert needle in msg, f"{label}: {msg}"

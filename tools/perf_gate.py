@@ -4,7 +4,8 @@
 Compares a fresh kernel_bench run against the committed baseline
 (bench_results/BENCH_kernel.json) and fails when any shared bench's
 machine-normalized ns/cell-tick regressed by more than the threshold, or
-when a bench that was allocation-free started allocating. Within-run
+when a bench's allocs/tick grew by more than 0.005 over its baseline (which
+includes an allocation-free bench starting to allocate). Within-run
 ratio rules ride along: the observability/ledger tax on the 48-cell config
 must stay under its budget, the --math=simd tier must beat the
 --math=fast tier by at least --simd-speedup-min on the 384-cell config
@@ -37,6 +38,10 @@ import argparse
 import json
 import shutil
 import sys
+
+
+# Largest allowed growth of a bench's allocs/tick over its baseline.
+ALLOCS_SLACK = 0.005
 
 
 def fail(msg):
@@ -102,9 +107,12 @@ def gate(base, cur, threshold):
             flag = "  REGRESSED"
             failures.append(f"{name}: normalized ns/cell-tick {ratio:.2f}x baseline "
                             f"(limit {1.0 + threshold:.2f}x)")
-        # An allocation-free loop that starts allocating is a regression at
-        # any speed — per-tick heap traffic is what the kernel removed.
-        if b["allocs_per_tick"] < 0.005 and c["allocs_per_tick"] >= 0.005:
+        # Per-tick heap traffic is a regression at any speed: an
+        # allocation-free loop that starts allocating, or any bench whose
+        # allocs/tick grows past its baseline by more than the slack.
+        started = b["allocs_per_tick"] < ALLOCS_SLACK <= c["allocs_per_tick"]
+        grew = c["allocs_per_tick"] > b["allocs_per_tick"] + ALLOCS_SLACK
+        if started or grew:
             flag += "  ALLOCATES"
             failures.append(f"{name}: allocs/tick {c['allocs_per_tick']:.4f} "
                             f"(baseline {b['allocs_per_tick']:.4f})")
@@ -338,6 +346,21 @@ def self_test():
     _, failures = sharding_tax(dc, 0.50)
     assert not failures, failures
     _, failures = sharding_tax(good, 0.25)  # no datacenter pair: skipped
+    assert not failures, failures
+
+    # 5d. the allocation rule: growth past the slack fails at any speed,
+    # growth within it passes, and a zero baseline must stay allocation-free
+    def allocs_doc(allocs):
+        return {"calibration_ns": 2.0,
+                "benches": [{"name": "dc", "ns_per_cell_tick": 10.0,
+                             "allocs_per_tick": allocs}]}
+    _, _, failures = gate(allocs_doc(0.011), allocs_doc(0.02), 0.15)
+    assert any("allocs/tick" in f for f in failures), failures
+    _, _, failures = gate(allocs_doc(0.011), allocs_doc(0.015), 0.15)
+    assert not failures, failures
+    _, _, failures = gate(allocs_doc(0.0), allocs_doc(0.005), 0.15)
+    assert any("allocs/tick" in f for f in failures), failures
+    _, _, failures = gate(allocs_doc(0.136), allocs_doc(0.011), 0.15)
     assert not failures, failures
 
     # 6. the happy path still gates
