@@ -147,6 +147,33 @@ TEST(Golden, LfpMixedWeek) {
       "lfp_mixed", render_scenario(cfg, weather, "Golden: LFP mixed week"));
 }
 
+// Canonical NMC scenario: the li_nmc preset under the perf sweep's fault plan
+// with the guard on — locks the NmcCubic voltage inversion (the only curve that
+// runs a Newton solve) end-to-end, together with a weak bank, sensor noise
+// on the SoC channel, a PV dropout and stale probes.
+TEST(Golden, NmcFaultedWeek) {
+  sim::ScenarioConfig cfg = sim::prototype_scenario();
+  cfg.nodes = 4;
+  cfg.policy = core::PolicyKind::Baat;
+  cfg.seed = 5;
+  battery::apply_chemistry_preset(cfg.bank, battery::Chemistry::LiNmc);
+  cfg.metrics.nameplate = cfg.bank.chemistry.capacity_c20;
+  cfg.metrics.lifetime_throughput = util::ampere_hours(
+      cfg.bank.chemistry.capacity_c20.value() * cfg.bank.cycle_curve.cycles_at_full);
+  cfg.policy_params.planned.total_throughput = cfg.metrics.lifetime_throughput;
+  cfg.policy_params.planned.nameplate = cfg.metrics.nameplate;
+  cfg.faults = fault::parse_fault_plan(
+      "sensor_noise:soc:0.03,pv_dropout:day=2:hours=4,cell_weak:bank=1:capacity=0.8,"
+      "probe_stale:p=0.01");
+  cfg.guard.enabled = true;
+  const std::vector<solar::DayType> weather{
+      solar::DayType::Sunny, solar::DayType::Cloudy, solar::DayType::Rainy,
+      solar::DayType::Sunny, solar::DayType::Cloudy, solar::DayType::Sunny,
+      solar::DayType::Rainy};
+  compare_against_golden(
+      "nmc_faulted", render_scenario(cfg, weather, "Golden: NMC faulted week"));
+}
+
 // ---------------------------------------------------------------------------
 // Sharded datacenter goldens. The markdown report is single-cluster-only,
 // so these render the same full-precision rows plus per-shard fleet state —
