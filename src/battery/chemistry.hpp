@@ -8,7 +8,9 @@
 // layered on top by battery::AgingModel — this header is the *fresh-cell*
 // physics.
 
+#include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string_view>
 
 #include "util/units.hpp"
@@ -91,6 +93,18 @@ double soc_from_voltage(const LeadAcidParams& p, Volts ocv);
 /// contract, inverting the given OCV family instead of the lead-acid
 /// quadratic. `curve == LeadAcidQuadratic` is exactly soc_from_voltage.
 double soc_from_voltage(const LeadAcidParams& p, Volts ocv, OcvCurve curve);
+
+/// Readings per block of the span form's NmcCubic Newton solve.
+inline constexpr std::size_t kSocBatchBlock = 16;
+
+/// Span form: out[k] = soc_from_voltage(p, Volts{ocv[k]}, curve), bit for
+/// bit. NmcCubic runs its Newton solve iteration-major over blocks of
+/// kSocBatchBlock readings: every lane takes all the scalar's steps in the
+/// scalar's order, so only independent readings are interleaved and their
+/// division chains overlap. The other curves loop their closed forms.
+/// `out` must be as long as `ocv` and may alias it.
+void soc_from_voltage(const LeadAcidParams& p, std::span<const double> ocv, OcvCurve curve,
+                      std::span<double> out);
 
 /// Curve-aware open-circuit voltage (the lead-acid overload above is the
 /// `LeadAcidQuadratic` case, bit-for-bit).

@@ -73,11 +73,22 @@ inline double ocv_shape_for(OcvCurve curve, double soc) {
   return soc;
 }
 
+/// NmcCubic's inverse is a fixed 8-step Newton iteration from x = s
+/// (deterministic — no convergence-dependent branching; the derivative is
+/// bounded below by 0.86 so 8 steps land far under 1e-12).
+inline constexpr int kNmcNewtonSteps = 8;
+
+/// One Newton step toward the SoC whose NmcCubic shape is `s`. The scalar
+/// inverse below and the span form of soc_from_voltage (chemistry.cpp) both
+/// run exactly this expression, so every lane of the batch is the scalar.
+inline double nmc_newton_step(double x, double s) {
+  const double f = x * (1.4 + x * (-0.8 + x * 0.4)) - s;
+  const double df = 1.4 + x * (-1.6 + x * 1.2);
+  return x - f / df;
+}
+
 /// Inverse of ocv_shape_for on [0,1]: given a normalized voltage fraction,
-/// recover SoC. Exact closed forms except NmcCubic, which runs a fixed
-/// 8-step Newton iteration (deterministic — no convergence-dependent
-/// branching; the derivative is bounded below by 0.86 so 8 steps land far
-/// under 1e-12).
+/// recover SoC. Exact closed forms except NmcCubic (Newton, above).
 inline double soc_from_ocv_shape(OcvCurve curve, double s) {
   switch (curve) {
     case OcvCurve::LeadAcidQuadratic: {
@@ -87,11 +98,7 @@ inline double soc_from_ocv_shape(OcvCurve curve, double s) {
     }
     case OcvCurve::NmcCubic: {
       double x = s;
-      for (int it = 0; it < 8; ++it) {
-        const double f = x * (1.4 + x * (-0.8 + x * 0.4)) - s;
-        const double df = 1.4 + x * (-1.6 + x * 1.2);
-        x -= f / df;
-      }
+      for (int it = 0; it < kNmcNewtonSteps; ++it) x = nmc_newton_step(x, s);
       return x;
     }
     case OcvCurve::LfpPlateau:

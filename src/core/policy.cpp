@@ -1,7 +1,6 @@
 #include "core/policy.hpp"
 
 #include "core/policies.hpp"
-#include "obs/metrics.hpp"
 #include "util/require.hpp"
 
 namespace baat::core {
@@ -32,24 +31,6 @@ std::unique_ptr<AgingPolicy> make_policy(PolicyKind kind, const PolicyParams& pa
       return std::make_unique<BaatPredictivePolicy>(params);
   }
   throw util::PreconditionError("unknown policy kind");
-}
-
-void record_actions(const Actions& actions) {
-  // Per-call resolution (no static caching): the active registry is
-  // per-thread under the sweep engine.
-  obs::Registry& reg = obs::global_registry();
-  obs::Counter& ticks = reg.counter("policy.control_ticks");
-  obs::Counter& migrations = reg.counter("policy.decisions", "migration");
-  obs::Counter& dvfs = reg.counter("policy.decisions", "dvfs");
-  obs::Counter& charge = reg.counter("policy.decisions", "charge_priority");
-  obs::Counter& floor = reg.counter("policy.decisions", "discharge_floor");
-  ticks.inc();
-  if (!actions.migrations.empty()) {
-    migrations.inc(static_cast<double>(actions.migrations.size()));
-  }
-  if (!actions.dvfs.empty()) dvfs.inc(static_cast<double>(actions.dvfs.size()));
-  if (!actions.charge_priority.empty()) charge.inc();
-  if (!actions.discharge_floor_soc.empty()) floor.inc();
 }
 
 std::optional<std::size_t> place_least_loaded(const PolicyContext& ctx, double cores,

@@ -144,12 +144,6 @@ struct PolicyParams {
   ForecastParams forecast{};
 };
 
-/// Observability hook: count what a policy asked for this control period
-/// under `policy.decisions{migration|dvfs|charge_priority|discharge_floor}`
-/// plus `policy.control_ticks`. The driver (Cluster, or a live control
-/// server) calls this once per on_control_tick result.
-void record_actions(const Actions& actions);
-
 class AgingPolicy {
  public:
   virtual ~AgingPolicy() = default;

@@ -119,6 +119,7 @@ class Cluster {
   core::PolicyContext build_context(util::Seconds now,
                                     const power::RouteResult* last_route,
                                     util::Watts solar_now = util::Watts{0.0});
+  /// Count the control tick's decisions, then apply them.
   void apply_actions(const core::Actions& actions, DayResult& result);
   VmRecord* find_vm(workload::VmId id);
 
@@ -129,6 +130,8 @@ class Cluster {
   std::unique_ptr<battery::FleetState> fleet_;
   std::vector<battery::Battery> batteries_;  ///< views into *fleet_, one per node
   std::vector<server::Server> servers_;
+  /// Shared by every life and day table (one chemistry, curve and scheme).
+  telemetry::PowerTableParams table_params_;
   std::vector<telemetry::PowerTable> life_tables_;
   /// Daily-reset logs: the "recent" metric horizon the slowdown check reads.
   std::vector<telemetry::PowerTable> day_tables_;
@@ -149,6 +152,8 @@ class Cluster {
   std::function<void(const TickObservation&)> observer_;
   /// Reused per-tick buffers (run_day performs no per-tick allocation).
   std::vector<util::Watts> demands_;
+  std::vector<telemetry::SensorReading> readings_;  ///< this tick's reading per node
+  std::vector<double> voltage_soc_;                 ///< their voltage SoC, one batch
   power::RouterScratch router_scratch_;
 
   // --- observability ---------------------------------------------------------
@@ -165,6 +170,12 @@ class Cluster {
     obs::Counter* migrations = nullptr;
     obs::Counter* dvfs_transitions = nullptr;
     obs::Counter* days_run = nullptr;
+    obs::Counter* control_ticks = nullptr;
+    // policy.decisions{migration|dvfs|charge_priority|discharge_floor}
+    obs::Counter* decided_migrations = nullptr;
+    obs::Counter* decided_dvfs = nullptr;
+    obs::Counter* decided_charge_priority = nullptr;
+    obs::Counter* decided_discharge_floor = nullptr;
     std::vector<obs::Gauge*> node_soc;
     std::vector<obs::Gauge*> node_health;
   };

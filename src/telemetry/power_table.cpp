@@ -11,7 +11,23 @@ PowerTable::PowerTable(PowerTableParams params) : params_(std::move(params)) {
   BAAT_REQUIRE(params_.dr_window.value() > 0.0, "DR window must be positive");
 }
 
+void voltage_soc_batch(const PowerTableParams& params, std::span<const SensorReading> readings,
+                       std::span<double> out) {
+  BAAT_REQUIRE(out.size() == readings.size(), "voltage_soc_batch: output span length mismatch");
+  for (std::size_t i = 0; i < readings.size(); ++i) {
+    out[i] = readings[i].voltage.value() +
+             readings[i].current.value() * params.chemistry.r_internal_ohms;
+  }
+  battery::soc_from_voltage(params.chemistry, out, params.ocv_curve, out);
+}
+
 void PowerTable::record(const SensorReading& reading, Seconds dt) {
+  double soc_v = 0.0;
+  voltage_soc_batch(params_, {&reading, 1}, {&soc_v, 1});
+  record(reading, dt, soc_v);
+}
+
+void PowerTable::record(const SensorReading& reading, Seconds dt, double voltage_soc) {
   BAAT_REQUIRE(dt.value() > 0.0, "dt must be positive");
   if (dt.value() != alpha_dt_key_) {
     alpha_dt_key_ = dt.value();
@@ -26,13 +42,8 @@ void PowerTable::record(const SensorReading& reading, Seconds dt) {
   // value only when the current is small (under load the ohmic drop of an
   // *aged* cell would bias a pure voltage estimate badly, since the
   // controller only knows the nominal internal resistance).
-  const double ocv_est = reading.voltage.value() +
-                         reading.current.value() * params_.chemistry.r_internal_ohms;
-  const double soc_v = battery::soc_from_voltage(params_.chemistry,
-                                                 util::Volts{ocv_est},
-                                                 params_.ocv_curve);
   if (params_.estimation == SocEstimation::VoltageOnly) {
-    soc_estimate_ = soc_v;
+    soc_estimate_ = voltage_soc;
   } else {
     soc_estimate_ -= reading.current.value() * dt.value() / 3600.0 /
                      params_.chemistry.capacity_c20.value();
@@ -40,7 +51,7 @@ void PowerTable::record(const SensorReading& reading, Seconds dt) {
     const double rest_threshold = 0.1 * params_.chemistry.capacity_c20.value();
     if (std::fabs(reading.current.value()) < rest_threshold) {
       // Per-minute-scale blend: anchors fully within a few idle minutes.
-      soc_estimate_ += anchor_alpha_ * (soc_v - soc_estimate_);
+      soc_estimate_ += anchor_alpha_ * (voltage_soc - soc_estimate_);
     }
   }
 

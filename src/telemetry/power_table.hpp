@@ -10,6 +10,7 @@
 
 #include <limits>
 #include <optional>
+#include <span>
 
 #include "battery/chemistry.hpp"
 #include "telemetry/sensor.hpp"
@@ -41,11 +42,23 @@ struct PowerTableParams {
   Seconds dr_window{util::minutes(10.0)};
 };
 
+/// The SoC each reading's voltage alone implies: the estimator's OCV
+/// estimate V + I·R_nominal (the controller knows only the nominal internal
+/// resistance, not the aged one) inverted through `params.ocv_curve` by the
+/// span form of battery::soc_from_voltage. `out` must be as long as
+/// `readings`.
+void voltage_soc_batch(const PowerTableParams& params, std::span<const SensorReading> readings,
+                       std::span<double> out);
+
 class PowerTable {
  public:
   explicit PowerTable(PowerTableParams params);
 
   /// Fold one sensor reading covering `dt` into the accumulators.
+  /// `voltage_soc` is the reading's voltage_soc_batch value under this
+  /// table's params; tables fed the same reading share it.
+  void record(const SensorReading& reading, Seconds dt, double voltage_soc);
+  /// As above, computing the reading's voltage SoC itself.
   void record(const SensorReading& reading, Seconds dt);
 
   // --- accumulators the metric engine consumes (Eq 1–5 numerators) ---------

@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <iterator>
 #include <limits>
+#include <vector>
 
 #include "battery/chemistry.hpp"
 #include "util/require.hpp"
@@ -150,6 +154,62 @@ INSTANTIATE_TEST_SUITE_P(
     CurveBySoc, OcvRoundTripAllCurves,
     ::testing::Combine(::testing::ValuesIn(kAllCurves),
                        ::testing::Values(0.0, 0.05, 0.2, 0.5, 0.8, 0.95, 1.0)));
+
+// --- span form ----------------------------------------------------------------
+// The batched inversion reorders only independent readings (the NmcCubic
+// Newton solve runs iteration-major over blocks), so every element must be
+// the scalar soc_from_voltage bit for bit: for each curve, at every lane
+// position of a block, for partial tail blocks and for pinned inputs.
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+/// Readings with pinned inputs (poison, at/below empty, at/above full)
+/// scattered over lane positions among random in-range voltages.
+std::vector<double> span_inputs(const LeadAcidParams& p, std::size_t n) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const double v_empty = p.ocv_cell_empty.value() * p.cells;
+  const double v_full = p.ocv_cell_full.value() * p.cells;
+  const double pinned[] = {nan, inf, -inf, v_empty, v_empty - 0.5, -3.0,
+                           v_full, v_full + 0.5, 1e300};
+  std::uint64_t state = 0x2545f4914f6cdd1dull + n;
+  std::vector<double> v(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    state = state * 6364136223846793005ull + 1442695040888963407ull;
+    const double u = static_cast<double>(state >> 11) / 9007199254740992.0;
+    v[i] = i % 4 == 1 ? pinned[(i / 4 + n) % std::size(pinned)]
+                      : v_empty + (v_full - v_empty) * u;
+  }
+  return v;
+}
+
+TEST(Chemistry, SocFromVoltageSpanMatchesScalarBitwise) {
+  const LeadAcidParams p;
+  const std::size_t sizes[] = {0, 1, kSocBatchBlock - 1, kSocBatchBlock, kSocBatchBlock + 1, 48};
+  for (std::size_t n : sizes) {
+    const std::vector<double> ocv = span_inputs(p, n);
+    for (OcvCurve curve : kAllCurves) {
+      std::vector<double> out(n, -7.0);
+      soc_from_voltage(p, ocv, curve, out);
+      std::vector<double> in_place = ocv;
+      soc_from_voltage(p, in_place, curve, in_place);
+      for (std::size_t i = 0; i < n; ++i) {
+        const double scalar = soc_from_voltage(p, util::Volts{ocv[i]}, curve);
+        EXPECT_EQ(bits(out[i]), bits(scalar))
+            << "curve " << static_cast<int>(curve) << " n=" << n << " i=" << i
+            << " v=" << ocv[i];
+        EXPECT_EQ(bits(in_place[i]), bits(scalar)) << "in place, n=" << n << " i=" << i;
+      }
+    }
+  }
+}
+
+TEST(Chemistry, SocFromVoltageSpanRejectsLengthMismatch) {
+  const LeadAcidParams p;
+  const std::vector<double> ocv(3, 12.5);
+  std::vector<double> out(2);
+  EXPECT_THROW(soc_from_voltage(p, ocv, OcvCurve::NmcCubic, out), PreconditionError);
+}
 
 // --- Peukert edge cases -----------------------------------------------------
 // Regression for the I -> 0 boundary: pow(i20/i, k-1) diverges as i -> 0, so

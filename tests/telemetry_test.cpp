@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -179,6 +180,59 @@ TEST(PowerTable, SaveLoadRoundTripsEmptyAndFilledTables) {
   EXPECT_FALSE(restored.last_reading().has_value());
   EXPECT_EQ(bytes_of(restored), empty_bytes);
   EXPECT_EQ(restored.time_total().value(), 0.0);
+}
+
+// The cluster inverts each reading's voltage once, in one batch across the
+// shard, and hands the value to both of the node's tables: that record must
+// leave exactly the state the self-computing record does, for every curve,
+// under both estimation schemes, poisoned readings included.
+TEST(PowerTable, SharedVoltageSocRecordMatchesSelfComputed) {
+  const auto bytes_of = [](const PowerTable& t) {
+    snapshot::SnapshotWriter w;
+    t.save_state(w);
+    return w.bytes();
+  };
+  const std::size_t nodes = battery::kSocBatchBlock + 3;
+  const battery::OcvCurve curves[] = {
+      battery::OcvCurve::LeadAcidQuadratic, battery::OcvCurve::NmcCubic,
+      battery::OcvCurve::LfpPlateau, battery::OcvCurve::Linear};
+  for (const SocEstimation scheme :
+       {SocEstimation::RestAnchoredCoulomb, SocEstimation::VoltageOnly}) {
+    for (const battery::OcvCurve curve : curves) {
+      PowerTableParams params;
+      params.ocv_curve = curve;
+      params.estimation = scheme;
+      std::vector<PowerTable> self(nodes, PowerTable{params});
+      std::vector<PowerTable> shared(nodes, PowerTable{params});
+      std::vector<SensorReading> readings(nodes);
+      std::vector<double> voltage_soc(nodes);
+      util::Rng rng{static_cast<std::uint64_t>(curve) * 2 + 1};
+      for (std::size_t tick = 0; tick < 200; ++tick) {
+        for (std::size_t i = 0; i < nodes; ++i) {
+          SensorReading& r = readings[i];
+          r.time = util::Seconds{60.0 * static_cast<double>(tick)};
+          r.voltage = util::Volts{rng.uniform(11.3, 13.0)};
+          // Rest, discharge and charge currents, all three in every tick.
+          switch ((i + tick) % 3) {
+            case 0: r.current = amperes(rng.normal(0.0, 0.5)); break;
+            case 1: r.current = amperes(rng.uniform(1.0, 20.0)); break;
+            default: r.current = amperes(-rng.uniform(1.0, 8.0)); break;
+          }
+        }
+        if (tick == 150) readings[4].voltage = util::Volts{std::nan("")};
+        voltage_soc_batch(params, readings, voltage_soc);
+        for (std::size_t i = 0; i < nodes; ++i) {
+          self[i].record(readings[i], minutes(1.0));
+          shared[i].record(readings[i], minutes(1.0), voltage_soc[i]);
+        }
+      }
+      for (std::size_t i = 0; i < nodes; ++i) {
+        EXPECT_EQ(bytes_of(shared[i]), bytes_of(self[i]))
+            << "curve " << static_cast<int>(curve) << " scheme "
+            << static_cast<int>(scheme) << " node " << i;
+      }
+    }
+  }
 }
 
 TEST(PowerTable, StuckSensorStaleFallbacksPinned) {
